@@ -32,8 +32,10 @@ sys.path.insert(0, str(BENCH))
 from spans import Tracer  # noqa: E402
 from workloads import WORKLOADS, child_env, make_inputs  # noqa: E402
 
-#: Fresh processes whose set-up is timed; setup_s is their median.
-SETUP_PROBES = 3
+#: Fresh processes whose set-up is timed, some before the timed phase and the
+#: rest after it, so that they sample the host's speed over the whole run;
+#: setup_s is their median.
+SETUP_PROBES = 7
 #: Fresh interpreters importing apolar.cli in a traced cli run.
 IMPORT_PROBES = 3
 #: Operations on each side whose reference times set the local speed.
@@ -108,10 +110,12 @@ def measure(workload, seed, seconds, trace, smoke):
     """One run of one workload; returns the result object."""
     import_apolar()
     tracer = Tracer() if trace else None
-    probes = [] if trace or smoke else [probe_setup(workload.name, seed) for _ in range(SETUP_PROBES)]
+    probing = not (trace or smoke)
+    probes = [probe_setup(workload.name, seed) for _ in range(SETUP_PROBES // 2 + 1)] \
+        if probing else []
     start = time.perf_counter()
     ap, inputs, operate = set_up(workload, seed, 1 if smoke else None, tracer)
-    if not probes:
+    if not probing:
         probes = [time.perf_counter() - start]
 
     reference = workload.reference()
@@ -131,6 +135,8 @@ def measure(workload, seed, seconds, trace, smoke):
             references.append([time_call(reference) for _ in range(workload.reference_reps)])
             if workload.failed(out):
                 failed += 1
+                if not workload.known_failure(item):
+                    problems.append(f"input {k}: the operation failed")
                 continue
             completed.append((attempted - 1, t1 - t0))
             child_rss_kib = max(child_rss_kib, workload.child_rss_kib(out))
@@ -143,6 +149,8 @@ def measure(workload, seed, seconds, trace, smoke):
             elif digest != digests[k]:
                 problems.append(f"input {k}: output changed when run again")
         rounds += 1
+    if probing:
+        probes += [probe_setup(workload.name, seed) for _ in range(SETUP_PROBES - len(probes))]
 
     normalized = [t / local_reference(references, i) for i, t in completed]
     raw = {

@@ -189,6 +189,11 @@ def test_smoke_runs_every_workload_correctly():
         assert set(result["metrics"]) == set(run.END_TO_END_UNITS)
         assert all(m["value"] > 0 for m in result["metrics"].values())
     assert all(results[n]["failed"] == 0 for n in results if n != "cli")
+    # The one call of the cycle that fails today is `dims --r 0`; any other
+    # failing call would have made the run incorrect.
+    cycle = make_inputs(WORKLOADS["cli"], ap, 1)
+    assert [c.argv[:3] for c in cycle if c.known_failure] == [["dims", "--socle=2:1", "--r=0"]]
+    assert results["cli"]["failed"] == results["cli"]["attempted"] // len(cycle)
 
 
 def test_traced_counts_repeat_exactly():
@@ -210,3 +215,11 @@ def test_refuses_to_run_without_the_program(tmp_path):
     )
     assert done.returncode != 0
     assert done.stdout.strip() == ""
+
+
+def test_an_unknown_failure_makes_the_run_incorrect(monkeypatch):
+    workload = WORKLOADS["cli"]
+    monkeypatch.setattr(type(workload), "known_failure", lambda self, item: False)
+    result = run.measure(workload, 1, 1, trace=0, smoke=True)
+    assert result["failed"] == 1
+    assert not result["correct"]
