@@ -34,9 +34,10 @@ from .duality import (
     apolar_annihilator,
     associated_graded_ideal,
     associated_graded_submodule,
-    dual_element_of,
     dual_minimal_generators,
     filtered_dual,
+    filtered_dual_generators,
+    filtered_minimal_generators,
     generated_submodule,
     truncate_algebra,
 )
@@ -61,7 +62,7 @@ from .parsing import (
     parse_ring_spec,
     parse_socle_type,
 )
-from .rings import QQ, BoundExceededError, MathDomainError, echelon
+from .rings import QQ, BoundExceededError, MathDomainError
 from .series import TruncatedSeries, dual_series, froeberg_expected, koszul_series_verdict, wstar_window
 from .tangents import elementary_report, hom_dims, minimal_generators
 
@@ -236,68 +237,6 @@ def _socle_arg(args) -> IntSeq:
 # bound used or None, bound_limited).
 
 
-def _filtered_generators(ideal):
-    """Minimal generators of a truncated filtered ideal: an echelon basis of
-    the quotient by the span of the variable multiples."""
-    alg = ideal.algebra
-    field = alg.ring.field
-    products = [
-        alg.multiply_by_var(i, r)
-        for r in ideal.space.rows
-        for i in range(alg.ring.nvars)
-    ]
-    covered = echelon(field, products, alg.total_dim)
-    gens = []
-    for r in ideal.space.rows:
-        if covered.contains(r):
-            continue
-        gens.append(alg.polynomial_of(r))
-        covered = covered + echelon(field, [r], alg.total_dim)
-    return gens
-
-
-def _filtered_dual_generators(ideal):
-    """Minimal dual generators of the annihilator module of a filtered ideal.
-
-    Contraction by a variable acts on dual coefficient vectors as the
-    transpose of multiplication; the generators complete the span of all
-    variable contractions to the full perp space.
-    """
-    alg = ideal.algebra
-    field = alg.ring.field
-    var_cols = []
-    for i in range(alg.ring.nvars):
-        cols = []
-        for k in range(alg.total_dim):
-            e = [field.zero] * alg.total_dim
-            e[k] = field.one
-            cols.append(alg.multiply_by_var(i, e))
-        var_cols.append(cols)
-
-    def moved(vec, cols):
-        out = []
-        for k in range(alg.total_dim):
-            acc = field.zero
-            for j, vj in enumerate(vec):
-                acc = field.add(acc, field.mul(vj, cols[k][j]))
-            out.append(acc)
-        return out
-
-    dual = ideal.space.perp()
-    covered = echelon(
-        field,
-        [moved(v, cols) for v in dual.rows for cols in var_cols],
-        alg.total_dim,
-    )
-    gens = []
-    for v in dual.rows:
-        if covered.contains(v):
-            continue
-        gens.append(dual_element_of(alg, v))
-        covered = covered + echelon(field, [v], alg.total_dim)
-    return gens
-
-
 def _cmd_annihilate(args):
     spec, ring, side, gens = _one_side(args)
     if side == "inverse":
@@ -314,9 +253,8 @@ def _cmd_annihilate(args):
         if len(gens) != 1:
             raise DomainNote("inhomogeneous annihilators take a single generator")
         _, ideal = filtered_dual(gens[0], bound=args.bound)
-        mingens = _filtered_generators(ideal)
         result = {
-            "generators": mingens,
+            "generators": filtered_minimal_generators(ideal),
             "quotient_dim": ideal.quotient_total_dim(),
         }
         return spec, result, ideal.algebra.bound, False
@@ -334,21 +272,13 @@ def _cmd_annihilate(args):
     if bound is None:
         bound = 2 + max(ring.wdeg(m) for g in gens for m in g.terms)
     ideal = FilteredIdeal.from_generators(truncate_algebra(ring, bound), gens)
-    alg = ideal.algebra
-    base = alg.offsets[alg.bound - 1]
-    for j in range(alg.dims[alg.bound - 1]):
-        unit = [ring.field.zero] * alg.total_dim
-        unit[base + j] = ring.field.one
-        if not ideal.space.contains(unit):
-            raise DomainNote(
-                "quotient not visibly Artinian within the bound; raise --bound"
-            )
-    dual_gens = _filtered_dual_generators(ideal)
+    if not ideal.contains_top_degree():
+        raise DomainNote("quotient not visibly Artinian within the bound; raise --bound")
     result = {
-        "generators": dual_gens,
+        "generators": filtered_dual_generators(ideal),
         "quotient_dim": ideal.quotient_total_dim(),
     }
-    return spec, result, alg.bound, False
+    return spec, result, bound, False
 
 
 def _cmd_hilbert(args):
@@ -495,13 +425,14 @@ def _cmd_tangents(args):
 
 def _cmd_construct(args):
     kind = args.kind
-    seed = args.seed if args.seed is not None else 0
     if kind == "random":
+        if args.seed is None:
+            args.seed = 0  # an unseeded draw uses seed 0, and provenance says so
         spec = _need_ring(args)
         ring = spec.ring()
         t = _socle_arg(args)
         for attempt in range(5):
-            gens = random_dual_generators(ring, t, derived_seed(seed, attempt))
+            gens = random_dual_generators(ring, t, derived_seed(args.seed, attempt))
             D = generated_submodule(gens)
             if is_I_compressed(D):
                 result = {

@@ -24,7 +24,7 @@ from .duality import (
     GradedIdeal,
     InverseSystem,
     QuotientRing,
-    _contract_step,
+    _contraction_span,
     apolar_annihilator,
     catalecticant_matrix,
     dual_dim,
@@ -37,7 +37,7 @@ from .invariants import (
     is_gorenstein,
     multilevel_profile,
 )
-from .rings import GradedRing, MathDomainError, echelon, matrix_rank
+from .rings import GradedRing, MathDomainError, Subspace, matrix_rank
 
 __all__ = [
     "ISetReport",
@@ -434,21 +434,8 @@ class ConverseReport:
 def _full_dual_stable_at(ring, shifts, p: int) -> bool:
     """Does contraction by the weight-one variables map the full dual at
     degree -p onto the piece at degree 1-p?"""
-    field = ring.field
-    n = -p
-    src = dual_dim(ring, shifts, n)
-    tgt = dual_dim(ring, shifts, n + 1)
-    if tgt == 0:
-        return True
-    rows = []
-    for i in range(ring.nvars):
-        if ring.weights[i] != 1:
-            continue
-        for k in range(src):
-            vec = [field.zero] * src
-            vec[k] = field.one
-            rows.append(_contract_step(ring, shifts, n, i, vec))
-    return echelon(field, rows, tgt).dim == tgt
+    full = {-p: Subspace.full(ring.field, dual_dim(ring, shifts, -p))}
+    return _contraction_span(ring, shifts, full, 1 - p, ()).dim == dual_dim(ring, shifts, 1 - p)
 
 
 def converse_permissibility_check(D: InverseSystem, t=None, b=None) -> ConverseReport:

@@ -17,7 +17,6 @@ component-major.  Shifts are normalized so the smallest is 0.
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .rings import (
     BoundExceededError,
@@ -26,8 +25,10 @@ from .rings import (
     Polynomial,
     Subspace,
     TruncatedAlgebra,
+    complete_span,
     echelon,
     kernel,
+    rref,
     truncate_algebra,
 )
 
@@ -268,15 +269,12 @@ class InverseSystem:
         return -supp[0]
 
     def is_contraction_closed(self) -> bool:
-        for n, s in self.pieces.items():
-            for i in range(self.ring.nvars):
-                for row in s.rows:
-                    moved = _contract_step(self.ring, self.shifts, n, i, row)
-                    if any(c != 0 for c in moved) and not self.piece(
-                        n + self.ring.weights[i]
-                    ).contains(moved):
-                        return False
-        return True
+        targets = sorted({n + w for n in self.pieces for w in self.ring.weights})
+        return all(
+            self.piece(n).contains(row)
+            for n in targets
+            for row in _contraction_span(self.ring, self.shifts, self.pieces, n, ()).rows
+        )
 
     def elements(self, n: int):
         """Basis of the degree-n piece as InverseElements."""
@@ -320,22 +318,31 @@ def generated_submodule(gens, lo: int | None = None) -> InverseSystem:
         lo = bottom
     if lo > bottom:
         raise BoundExceededError(f"range must reach the bottom generator degree {bottom}")
-    top = max(shifts)
     by_degree = {}
     for g in gens:
         by_degree.setdefault(g.degree(), []).append(g.coefficient_vector(g.degree()))
+    return InverseSystem(ring, _generated_pieces(ring, shifts, by_degree, lo), shifts)
+
+
+def _contraction_span(ring: GradedRing, shifts: tuple, pieces: dict, n: int, rows) -> Subspace:
+    """Span in degree n of ``rows`` and of the contractions, by each variable
+    X_i, of the piece in degree n - w_i; degrees missing from ``pieces`` are
+    zero."""
+    rows = list(rows)
+    for i, w in enumerate(ring.weights):
+        below = pieces.get(n - w)
+        if below is not None:
+            rows.extend(_contract_step(ring, shifts, n - w, i, r) for r in below.rows)
+    return echelon(ring.field, rows, dual_dim(ring, shifts, n))
+
+
+def _generated_pieces(ring: GradedRing, shifts: tuple, seeds: dict, lo: int) -> dict:
+    """Pieces, from degree lo up to the top shift, of the submodule generated
+    by the rows of ``seeds`` (degree -> coordinate rows)."""
     pieces = {}
-    for n in range(lo, top + 1):
-        rows = list(by_degree.get(n, []))
-        for i in range(ring.nvars):
-            w = ring.weights[i]
-            below = pieces.get(n - w)
-            if below is not None and below.dim:
-                rows.extend(
-                    _contract_step(ring, shifts, n - w, i, r) for r in below.rows
-                )
-        pieces[n] = echelon(ring.field, rows, dual_dim(ring, shifts, n))
-    return InverseSystem(ring, pieces, shifts)
+    for n in range(lo, max(shifts) + 1):
+        pieces[n] = _contraction_span(ring, shifts, pieces, n, seeds.get(n, ()))
+    return pieces
 
 
 def catalecticant_matrix(f: InverseElement, p: int):
@@ -402,15 +409,7 @@ class GradedIdeal:
                 by_degree.setdefault(d, []).append(g.coefficient_vector(d))
         pieces = {}
         for d in range(bound):
-            rows = list(by_degree.get(d, []))
-            for i in range(ring.nvars):
-                w = ring.weights[i]
-                if d - w >= 0:
-                    below = pieces[d - w]
-                    steps = _var_lift(ring, i, d - w)
-                    for r in below.rows:
-                        rows.append(_lift_row(ring.field, r, steps, ring.dim(d)))
-            pieces[d] = echelon(ring.field, rows, ring.dim(d))
+            pieces[d] = _multiple_span(ring, pieces, d, by_degree.get(d, ()))
         return cls(ring, bound, pieces, gens=gens)
 
     def piece(self, d: int) -> Subspace:
@@ -443,17 +442,11 @@ class GradedIdeal:
         )
 
     def is_multiplication_closed(self) -> bool:
-        for d in range(self.bound):
-            for i in range(self.ring.nvars):
-                w = self.ring.weights[i]
-                if d + w >= self.bound:
-                    continue
-                steps = _var_lift(self.ring, i, d)
-                for r in self.pieces[d].rows:
-                    lifted = _lift_row(self.ring.field, r, steps, self.ring.dim(d + w))
-                    if not self.pieces[d + w].contains(lifted):
-                        return False
-        return True
+        return all(
+            self.pieces[d].contains(row)
+            for d in range(self.bound)
+            for row in _multiple_span(self.ring, self.pieces, d, ()).rows
+        )
 
     def __eq__(self, other):
         if not isinstance(other, GradedIdeal):
@@ -490,6 +483,19 @@ def _lift_row(field, row, steps, target_dim):
         if c != 0:
             out[t] = field.add(out[t], c)
     return tuple(out)
+
+
+def _multiple_span(ring: GradedRing, pieces: dict, d: int, rows) -> Subspace:
+    """Span in degree d of ``rows`` and of the multiples, by each variable
+    X_i, of the piece in degree d - w_i; degrees missing from ``pieces`` are
+    zero."""
+    rows = list(rows)
+    for i, w in enumerate(ring.weights):
+        below = pieces.get(d - w)
+        if below is not None:
+            steps = _var_lift(ring, i, d - w)
+            rows.extend(_lift_row(ring.field, r, steps, ring.dim(d)) for r in below.rows)
+    return echelon(ring.field, rows, ring.dim(d))
 
 
 def apolar_annihilator(ideal: GradedIdeal) -> InverseSystem:
@@ -580,6 +586,38 @@ class FilteredIdeal:
     def contains(self, f: Polynomial) -> bool:
         return self.space.contains(self.algebra.vector_of(f))
 
+    def contains_top_degree(self) -> bool:
+        """Whether the whole top-degree piece of the truncation lies in the
+        ideal, the visible sign of an Artinian quotient within the bound.
+
+        Rows of the echelon basis with their pivot in the top block vanish
+        on every lower block, so they span the ideal's part of that block.
+        """
+        top = self.algebra.offsets[-1]
+        return sum(1 for c in self.space.pivots if c >= top) == self.algebra.dims[-1]
+
+
+def filtered_minimal_generators(ideal: FilteredIdeal) -> list:
+    """Minimal generators of a truncated filtered ideal: the echelon basis
+    rows that the variable multiples of the ideal do not span."""
+    alg = ideal.algebra
+    products = [
+        alg.multiply_by_var(i, r) for r in ideal.space.rows for i in range(alg.ring.nvars)
+    ]
+    covered = echelon(alg.ring.field, products, alg.total_dim)
+    return [alg.polynomial_of(r) for r in complete_span(covered, ideal.space.rows)]
+
+
+def filtered_dual_generators(ideal: FilteredIdeal) -> list:
+    """Minimal generators of the dual module annihilated by a filtered ideal:
+    the basis rows of the perp space that its variable contractions do not
+    span."""
+    alg = ideal.algebra
+    dual = ideal.space.perp()
+    moved = [alg.contract_by_var(i, v) for v in dual.rows for i in range(alg.ring.nvars)]
+    covered = echelon(alg.ring.field, moved, alg.total_dim)
+    return [dual_element_of(alg, v) for v in complete_span(covered, dual.rows)]
+
 
 class FilteredDual:
     """A submodule of the dual of a truncated algebra: a subspace of the
@@ -650,46 +688,54 @@ def filtered_dual(F: InverseElement, bound: int | None = None):
     return D, FilteredIdeal(algebra, ideal_space, gens=None)
 
 
-def _block_support_space(algebra: TruncatedAlgebra, blocks) -> Subspace:
-    field = algebra.ring.field
-    rows = []
-    for d in blocks:
-        base = algebra.offsets[d]
-        for j in range(algebra.dims[d]):
-            v = [field.zero] * algebra.total_dim
-            v[base + j] = field.one
-            rows.append(v)
-    return echelon(field, rows, algebra.total_dim)
+def _initial_form_pieces(field, widths, rows, pivots) -> list:
+    """Spans of initial forms, block by block, read off one echelon form.
+
+    ``rows`` and ``pivots`` are a reduced echelon form whose columns run
+    block by block, leading block first, with ``widths`` the block widths.
+    A row with its pivot in block k vanishes on the blocks before it, so
+    those rows span the elements that start in block k, and their block-k
+    parts, already reduced, span the initial forms there.
+    """
+    pieces = []
+    start = k = 0
+    for width in widths:
+        end, first = start + width, k
+        while k < len(pivots) and pivots[k] < end:
+            k += 1
+        block = (
+            tuple(r[start:end] for r in rows[first:k]),
+            tuple(c - start for c in pivots[first:k]),
+        )
+        pieces.append(Subspace(field, width, _canonical=block))
+        start = end
+    return pieces
 
 
 def associated_graded_ideal(ideal: FilteredIdeal) -> GradedIdeal:
-    """Degreewise spans of initial forms (lowest-degree parts) of the ideal."""
+    """Degreewise spans of initial forms (lowest-degree parts) of the ideal.
+
+    The ideal's echelon basis already runs lowest degree first."""
     algebra = ideal.algebra
-    ring = algebra.ring
-    pieces = {}
-    for d in range(algebra.bound):
-        high = _block_support_space(algebra, range(d, algebra.bound))
-        cut = ideal.space.intersect(high)
-        rows = [algebra.component(r, d) for r in cut.rows]
-        pieces[d] = echelon(ring.field, rows, ring.dim(d))
-    return GradedIdeal(ring, algebra.bound, pieces)
+    space = ideal.space
+    pieces = _initial_form_pieces(algebra.ring.field, algebra.dims, space.rows, space.pivots)
+    return GradedIdeal(algebra.ring, algebra.bound, dict(enumerate(pieces)))
 
 
 def associated_graded_submodule(D: FilteredDual) -> InverseSystem:
     """Degreewise spans of initial forms of a filtered dual submodule.
 
     On the dual side the filtration runs toward more negative degrees, so
-    the initial form of an element is its most negative homogeneous part.
+    the initial form of an element is its most negative homogeneous part;
+    the echelon form is taken with the blocks in reverse order.
     """
     algebra = D.algebra
-    ring = algebra.ring
-    pieces = {}
-    for q in range(algebra.bound):
-        low = _block_support_space(algebra, range(q + 1))
-        cut = D.space.intersect(low)
-        rows = [algebra.component(r, q) for r in cut.rows]
-        pieces[-q] = echelon(ring.field, rows, ring.dim(q))
-    return InverseSystem(ring, pieces)
+    field = algebra.ring.field
+    order = range(algebra.bound - 1, -1, -1)
+    cols = [algebra.offsets[q] + j for q in order for j in range(algebra.dims[q])]
+    rows, pivots = rref(field, [[r[c] for c in cols] for r in D.space.rows], len(cols))
+    pieces = _initial_form_pieces(field, [algebra.dims[q] for q in order], rows, pivots)
+    return InverseSystem(algebra.ring, {-q: s for q, s in zip(order, pieces)})
 
 
 # ---------------------------------------------------------------------------
@@ -823,21 +869,12 @@ def hom_into_dual_dims(ideal: GradedIdeal, p: int) -> int:
 
 def dual_minimal_generators(D: InverseSystem):
     """A deterministic minimal homogeneous generating set of a dual submodule."""
-    ring = D.ring
-    field = ring.field
     gens = []
-    for n in sorted(D.pieces):
-        s = D.piece(n)
-        if not s.dim:
-            continue
-        rows = []
-        for i in range(ring.nvars):
-            w = ring.weights[i]
-            below = D.piece(n - w)
-            rows.extend(_contract_step(ring, D.shifts, n - w, i, r) for r in below.rows)
-        covered = echelon(field, rows, dual_dim(ring, D.shifts, n))
-        for row in s.rows:
-            if not covered.contains(row):
-                gens.append(InverseElement.from_vector(ring, n, row, D.shifts))
-                covered = covered + echelon(field, [row], covered.ncols)
+    for n, s in D.pieces.items():
+        if s.dim:
+            covered = _contraction_span(D.ring, D.shifts, D.pieces, n, ())
+            gens.extend(
+                InverseElement.from_vector(D.ring, n, row, D.shifts)
+                for row in complete_span(covered, s.rows)
+            )
     return gens

@@ -13,10 +13,11 @@ from .duality import (
     GradedIdeal,
     InverseSystem,
     QuotientRing,
-    _contract_step,
+    _contraction_span,
+    _generated_pieces,
+    _multiple_span,
     annihilator_of_submodule,
     apolar_annihilator,
-    dual_dim,
     dual_minimal_generators,
 )
 from .rings import MathDomainError, Polynomial, Subspace, echelon, kernel
@@ -171,20 +172,11 @@ def socle(obj) -> IntSeq:
 def generator_type(D: InverseSystem) -> IntSeq:
     """t(q) = number of degree-(-q) elements in a minimal generating set of D,
     computed as the codimension of the contraction image from one step below."""
-    ring = D.ring
-    field = ring.field
-    items = {}
-    for n, s in D.pieces.items():
-        if not s.dim:
-            continue
-        rows = []
-        for i in range(ring.nvars):
-            w = ring.weights[i]
-            below = D.piece(n - w)
-            rows.extend(_contract_step(ring, D.shifts, n - w, i, r) for r in below.rows)
-        covered = echelon(field, rows, dual_dim(ring, D.shifts, n))
-        items[-n] = s.dim - covered.dim
-    return IntSeq.from_items(items)
+    return IntSeq.from_items({
+        -n: s.dim - _contraction_span(D.ring, D.shifts, D.pieces, n, ()).dim
+        for n, s in D.pieces.items()
+        if s.dim
+    })
 
 
 @dataclass(frozen=True)
@@ -248,32 +240,13 @@ def symmetry_defect(h: IntSeq) -> tuple:
 # Multilevel filtration of a dual module.
 
 
-def _delta_pieces(D: InverseSystem, m: int) -> dict:
-    """Pieces of the submodule generated by everything in degrees <= -m."""
-    ring = D.ring
-    field = ring.field
-    supp = D.support()
-    if not supp:
-        return {}
-    lo = supp[0]
-    top = max(D.shifts)
-    pieces = {}
-    for n in range(lo, top + 1):
-        rows = []
-        if n <= -m:
-            rows.extend(D.piece(n).rows)
-        for i in range(ring.nvars):
-            w = ring.weights[i]
-            below = pieces.get(n - w)
-            if below is not None and below.dim:
-                rows.extend(_contract_step(ring, D.shifts, n - w, i, r) for r in below.rows)
-        pieces[n] = echelon(field, rows, dual_dim(ring, D.shifts, n))
-    return pieces
-
-
 def delta_submodule(D: InverseSystem, m: int) -> InverseSystem:
     """The submodule of D generated by its pieces in degrees -m and below."""
-    return InverseSystem(D.ring, _delta_pieces(D, m), D.shifts)
+    supp = D.support()
+    if not supp:
+        return InverseSystem(D.ring, {}, D.shifts)
+    seeds = {n: s.rows for n, s in D.pieces.items() if n <= -m}
+    return InverseSystem(D.ring, _generated_pieces(D.ring, D.shifts, seeds, supp[0]), D.shifts)
 
 
 @dataclass(frozen=True)
@@ -383,23 +356,13 @@ def linkage(ambient: GradedIdeal, ideal: GradedIdeal) -> LinkageReport:
 
     h_link = hilbert_function(link)
 
-    # minimal module generators of the link mod J
+    # minimal module generators of the link mod J: in each degree, the part
+    # of the link outside J and the variable multiples of the link below
     gen_degs = []
     for d in range(bound):
-        target = link_q[d]
-        if not target.dim:
-            continue
-        rows = []
-        for i in range(ring.nvars):
-            w = ring.weights[i]
-            below = link_q.get(d - w)
-            if below is None or not below.dim:
-                continue
-            M = Q.var_matrix(i, d - w)
-            for v in below.rows:
-                rows.append(_mat_vec_cols(field, M, v, Q.dim(d)))
-        covered = echelon(field, rows, Q.dim(d))
-        gen_degs.extend([d] * (target.dim - covered.dim))
+        if link_q[d].dim:
+            covered = _multiple_span(ring, link.pieces, d, ambient.piece(d).rows)
+            gen_degs.extend([d] * (link.pieces[d].dim - covered.dim))
     return LinkageReport(
         link=link,
         quotient_hilbert=h_link,
@@ -415,18 +378,6 @@ def _lift_poly(Q: QuotientRing, d: int, qvec):
         if c != 0:
             terms[ring.monomials(d)[pos]] = c
     return Polynomial(ring, terms)
-
-
-def _mat_vec_cols(field, mat, vec, nrows):
-    out = [field.zero] * nrows
-    for t in range(nrows):
-        row = mat[t]
-        acc = field.zero
-        for c, v in zip(row, vec):
-            if c != 0 and v != 0:
-                acc = field.add(acc, field.mul(c, v))
-        out[t] = acc
-    return tuple(out)
 
 
 def linkage_predicted_hilbert(ambient_h: IntSeq, quotient_h: IntSeq, top: int) -> IntSeq:
@@ -448,21 +399,12 @@ class StabilityReport:
 def stable_from(D: InverseSystem) -> int:
     """Least n0 such that every piece of D above degree n0 is spanned by
     variable contractions from one weight below."""
-    ring = D.ring
-    field = ring.field
     supp = D.support()
     if not supp:
         raise MathDomainError("zero module")
-    top = max(D.shifts)
     worst = supp[0] - 1
-    for n in range(supp[0], top + 1):
-        rows = []
-        for i in range(ring.nvars):
-            w = ring.weights[i]
-            below = D.piece(n - w)
-            rows.extend(_contract_step(ring, D.shifts, n - w, i, r) for r in below.rows)
-        covered = echelon(field, rows, dual_dim(ring, D.shifts, n))
-        if covered.dim != D.piece(n).dim:
+    for n in range(supp[0], max(D.shifts) + 1):
+        if _contraction_span(D.ring, D.shifts, D.pieces, n, ()).dim != D.piece(n).dim:
             worst = n
     return worst
 

@@ -166,8 +166,8 @@ def parse_ring_spec(text: str) -> RingSpec:
         cur.expect_punct(")")
         try:
             GF(p)
-        except ValueError:
-            raise ParseError(f"{p} is not prime", p_offset) from None
+        except ValueError as err:
+            raise ParseError(str(err), p_offset) from None
     cur.expect_punct("[")
     names, weights = [], []
     while True:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 
 class MathDomainError(Exception):
@@ -33,8 +32,31 @@ class BoundExceededError(MathDomainError):
     """A truncation bound was too small to certify the requested answer."""
 
 
+#: Miller-Rabin bases: the first twelve primes, exact for every n below
+#: 3.3e24, well above the limit of 2^64 that ``Field`` puts on p.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class Field:
@@ -48,6 +70,8 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, p: int | None = None):
+        if p is not None and p >= 2**64:
+            raise ValueError(f"GF(p) needs p < 2^64, got {p}")
         if p is not None and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -472,9 +496,6 @@ class Subspace:
     def contains(self, vec) -> bool:
         return all(x == 0 for x in self.reduce(vec))
 
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
-
     def nonpivots(self) -> tuple:
         pset = set(self.pivots)
         return tuple(c for c in range(self.ncols) if c not in pset)
@@ -516,6 +537,20 @@ def echelon(field: Field, rows, ncols: int) -> Subspace:
     return Subspace(field, ncols, rows)
 
 
+def complete_span(covered: Subspace, candidates) -> list:
+    """The candidates, in order, that complete ``covered`` to their joint span.
+
+    Each candidate is reduced against the span of ``covered`` and of the
+    candidates accepted before it, and accepted when it is not contained.
+    """
+    accepted = []
+    for v in candidates:
+        if not covered.contains(v):
+            accepted.append(v)
+            covered = Subspace(covered.field, covered.ncols, covered.rows + (tuple(v),))
+    return accepted
+
+
 def kernel(field: Field, matrix, ncols: int) -> Subspace:
     """Kernel of the linear map k^ncols -> k^m given by an m x ncols matrix."""
     rows, piv = rref(field, matrix, ncols)
@@ -550,25 +585,6 @@ def mat_mul(field: Field, a, b):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_vec(field: Field, a, v):
-    out = []
-    for row in a:
-        acc = field.zero
-        for x, y in zip(row, v):
-            if x != 0 and y != 0:
-                acc = field.add(acc, field.mul(x, y))
-        out.append(acc)
-    return tuple(out)
-
-
-def zero_matrix(field: Field, nrows: int, ncols: int):
-    return tuple(tuple(field.zero for _ in range(ncols)) for _ in range(nrows))
-
-
-def transpose(a):
-    return tuple(zip(*a)) if a else ()
 
 
 def matrix_rank(field: Field, rows, ncols: int) -> int:
@@ -662,6 +678,19 @@ class TruncatedAlgebra:
                 if c != 0:
                     t = step[j]
                     out[tbase + t] = field.add(out[tbase + t], c)
+        return tuple(out)
+
+    def contract_by_var(self, i: int, vec):
+        """Contract a total-dual-space vector by variable i: the transpose of
+        ``multiply_by_var``, reading the slot of 1/(M * X_i) for each 1/M."""
+        out = []
+        for d in range(self.bound):
+            t = d + self.ring.weights[i]
+            if t >= self.bound:
+                out.extend(self.ring.field.zero for _ in range(self.dims[d]))
+            else:
+                base = self.offsets[t]
+                out.extend(vec[base + k] for k in self.var_step(i, d))
         return tuple(out)
 
     def embed(self, d: int, vec):

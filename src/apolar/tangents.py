@@ -17,14 +17,14 @@ tangents" criterion used to flag elementary components.
 from dataclasses import dataclass
 
 from .compressed import dimension_formulas, i_set, is_permissible
-from .duality import GradedIdeal, QuotientRing, _lift_row, _var_lift
+from .duality import GradedIdeal, QuotientRing, _multiple_span
 from .invariants import IntSeq, is_gorenstein
 from .rings import (
     BoundExceededError,
     MathDomainError,
     Polynomial,
     Subspace,
-    echelon,
+    complete_span,
     kernel,
     matrix_rank,
     mult_matrix,
@@ -60,31 +60,15 @@ def minimal_generators(ideal: GradedIdeal):
         raise BoundExceededError(
             "truncation bound does not certify an Artinian quotient"
         )
-    ring = ideal.ring
-    field = ring.field
     out = []
     for d in range(ideal.bound):
-        piece = ideal.piece(d)
-        if not piece.dim:
-            continue
-        rows = []
-        for i in range(ring.nvars):
-            w = ring.weights[i]
-            if d - w < 0:
-                continue
-            below = ideal.piece(d - w)
-            if not below.dim:
-                continue
-            steps = _var_lift(ring, i, d - w)
-            rows.extend(_lift_row(field, r, steps, ring.dim(d)) for r in below.rows)
-        covered = echelon(field, rows, ring.dim(d))
-        for row in piece.rows:
-            if covered.contains(row):
-                continue
-            monos = ring.monomials(d)
-            poly = Polynomial(ring, {m: c for m, c in zip(monos, row) if c != 0})
-            out.append((d, poly))
-            covered = covered + echelon(field, [row], ring.dim(d))
+        piece = ideal.pieces[d]
+        if piece.dim:
+            covered = _multiple_span(ideal.ring, ideal.pieces, d, ())
+            out.extend(
+                (d, Polynomial.from_vector(ideal.ring, d, row))
+                for row in complete_span(covered, piece.rows)
+            )
     return out
 
 

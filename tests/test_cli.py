@@ -9,11 +9,13 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft7Validator
 
+import apolar.cli
 from apolar.cli import main
 
 _SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "cli_schema.json"
@@ -183,6 +185,13 @@ class TestEnvelope:
         )
         assert from_stdin == direct
 
+    def test_unseeded_random_draw_reports_the_seed_it_used(self, capsys):
+        argv = ("construct", "random", "--ring", "GF(101)[x,y,z]", "--socle", "3:1,4:2", "--json")
+        _, unseeded, _ = run(capsys, *argv)
+        _, seeded, _ = run(capsys, *argv, "--seed", "0")
+        assert json.loads(unseeded)["provenance"]["seed"] == 0
+        assert unseeded == seeded
+
     def test_module_entry_point_matches_in_process_output(self, capsys):
         argv = ["dims", "--socle", "2:1,3:1", "--r", "5", "--json"]
         proc = subprocess.run(
@@ -245,6 +254,22 @@ class TestExitCodes:
         assert code == 4
         assert "not prime" in doc["error"]["message"]
 
+    def test_large_prime_field_is_accepted_at_once(self, capsys):
+        start = time.perf_counter()
+        code, doc = run_json(
+            capsys, "hilbert", "--ring", "GF(2305843009213693951)[x,y]", "--ideal", "x,y"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert doc["ring"]["field"] == "GF(2305843009213693951)"
+
+    def test_characteristic_of_64_bits_or_more_is_exit_4(self, capsys):
+        code, doc = run_json(
+            capsys, "hilbert", "--ring", "GF(18446744073709551629)[x]", "--ideal", "x"
+        )
+        assert code == 4
+        assert "2^64" in doc["error"]["message"]
+
     def test_table_mode_errors_go_to_stderr(self, capsys):
         code, out, err = run(
             capsys, "annihilate", "--ring", "QQ[x,y]", "--ideal", "x^3, y^3"
@@ -300,3 +325,78 @@ class TestSchemaSweep:
         assert code in (2, 3, 4)
         assert set(doc) == {"error"}
         assert doc["error"]["code"] == code
+
+
+class TestGoldenBytes:
+    """Exact --json output of the filtered paths in three variables."""
+
+    GOLDEN = [
+        (
+            ("annihilate", "--ring", "QQ[x,y,z]",
+             "--inverse", "x^-3 + y^-2*z^-1 + 2*x^-1*z^-1 + y^-2"),
+            '{"provenance":{"bound":5,"bound_limited":false,"seed":null},'
+            '"result":{"generators":["x*y","x*z - 2*y^2*z","z^2","x^3 - y^2*z","y^3"],'
+            '"quotient_dim":8},'
+            '"ring":{"field":"QQ","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
+        (
+            ("annihilate", "--ring", "GF(101)[x,y,z]",
+             "--inverse", "x^-2*y^-1*z^-1 + 3*y^-3 + x^-2 + z^-1"),
+            '{"provenance":{"bound":6,"bound_limited":false,"seed":null},'
+            '"result":{"generators":["y^2 + 98*x^2*z","z^2","x^3"],"quotient_dim":12},'
+            '"ring":{"field":"GF(101)","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
+        (
+            ("annihilate", "--ring", "QQ[x,y,z]", "--ideal", "x^2 - y, x*y, y^2, z^2, x*z"),
+            '{"provenance":{"bound":4,"bound_limited":false,"seed":null},'
+            '"result":{"generators":["y^-1 + x^-2","z^-1"],"quotient_dim":4},'
+            '"ring":{"field":"QQ","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
+        (
+            ("annihilate", "--ring", "GF(101)[x,y,z]",
+             "--ideal", "x*y + z, x*z - y^2, y*z, x^3, z^2 + y^3", "--bound", "6"),
+            '{"provenance":{"bound":6,"bound_limited":false,"seed":null},'
+            '"result":{"generators":["y^-2 + x^-1*z^-1 + 100*x^-2*y^-1"],"quotient_dim":6},'
+            '"ring":{"field":"GF(101)","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
+        (
+            ("assoc-graded", "--ring", "QQ[x,y,z]", "--inverse", "x^-2*y^-2 + z^-3 + x^-1*y^-1"),
+            '{"provenance":{"bound":6,"bound_limited":false,"seed":null},'
+            '"result":{"dual_generator_count":2,"gorenstein":false,'
+            '"graded_ideal_generators":["x*z","y*z","x^3","y^3","z^3"],"level":false,'
+            '"quotient_hilbert":{"offset":0,"values":[1,3,4,2,1]},'
+            '"socle":{"offset":2,"values":[1,0,1]}},'
+            '"ring":{"field":"QQ","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
+        (
+            ("assoc-graded", "--ring", "GF(101)[x,y,z]",
+             "--inverse", "x^-4 + 2*y^-2*z^-2 + x^-1*y^-2 + z^-2"),
+            '{"provenance":{"bound":6,"bound_limited":false,"seed":null},'
+            '"result":{"dual_generator_count":1,"gorenstein":true,'
+            '"graded_ideal_generators":["x*y","x*z","y^3","z^3","x^4 + 50*y^2*z^2"],'
+            '"level":true,"quotient_hilbert":{"offset":0,"values":[1,3,4,3,1]},'
+            '"socle":{"offset":4,"values":[1]}},'
+            '"ring":{"field":"GF(101)","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
+        (
+            ("assoc-graded", "--ring", "GF(101)[x,y:2,z]",
+             "--inverse", "x^-4 + y^-2 + x^-1*z^-2 + z^-1", "--bound", "7"),
+            '{"provenance":{"bound":7,"bound_limited":false,"seed":null},'
+            '"result":{"dual_generator_count":2,"gorenstein":false,'
+            '"graded_ideal_generators":["z^2","x^2*z","x*y","y*z","x^4 + 100*y^2"],'
+            '"level":false,"quotient_hilbert":{"offset":0,"values":[1,2,3,1,1]},'
+            '"socle":{"offset":2,"values":[1,0,1]}},'
+            '"ring":{"field":"GF(101)","variables":["x","y","z"],"weights":[1,2,1]}}',
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, expected", GOLDEN, ids=[" ".join(a[:4]) for a, _ in GOLDEN])
+    def test_json_bytes(self, capsys, argv, expected):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out == expected + "\n"
+
+
+def test_cli_holds_no_linear_algebra():
+    """The command line parses and emits; every elimination lives below it."""
+    assert not {"echelon", "kernel", "rref", "Subspace"} & set(vars(apolar.cli))

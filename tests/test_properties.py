@@ -37,7 +37,7 @@ from apolar.invariants import (
     socle,
     symmetry_defect,
 )
-from apolar.rings import GF, GradedRing, Polynomial, echelon, kernel, matrix_rank
+from apolar.rings import GF, QQ, GradedRing, Polynomial, Subspace, echelon, kernel, matrix_rank
 from apolar.series import TruncatedSeries, dual_series, koszul_series_verdict, wstar_window
 
 F101 = GF(101)
@@ -203,6 +203,53 @@ def test_graded_annihilator_commutes_with_taking_initial_forms(filtered_draws):
     for F, D, I, GD in filtered_draws:
         GI = associated_graded_ideal(I)
         assert annihilator_of_submodule(GD, bound=I.algebra.bound) == GI
+
+
+def _initial_forms_by_definition(alg, space, blocks):
+    """For each degree d, the degree-d parts of the elements of ``space``
+    that lie in the span of the unit vectors of the blocks ``blocks(d)``."""
+    field = alg.ring.field
+    pieces = {}
+    for d in range(alg.bound):
+        units = [
+            alg.embed(e, row)
+            for e in blocks(d)
+            for row in Subspace.full(field, alg.dims[e]).rows
+        ]
+        cut = space.intersect(echelon(field, units, alg.total_dim))
+        pieces[d] = echelon(field, [alg.component(r, d) for r in cut.rows], alg.dims[d])
+    return pieces
+
+
+ASSOCIATED_GRADED_RINGS = (
+    GradedRing.standard(F101, 2),
+    GradedRing.standard(F101, 3),
+    GradedRing(("x", "y"), (1, 2), F101),
+)
+
+
+def test_associated_graded_matches_its_definition():
+    """Both associated graded objects against intersections with the
+    filtration steps, for F with two or three homogeneous components; the
+    draws over QQ are fewer and smaller because the oracle is slow there."""
+    draws = [
+        (ASSOCIATED_GRADED_RINGS[k % 3], 3 + (k // 3) % 2, k) for k in range(N_DRAWS)
+    ]
+    draws += [(GradedRing.standard(QQ, 2 + k % 2), 3, N_DRAWS + k) for k in range(10)]
+    for ring, top, k in draws:
+        stream = splitmix64(6000 + k)
+        degrees = {top}
+        while len(degrees) < 2 + (k // 2) % 2:
+            degrees.add(next(stream) % top)
+        F = random_dual_element(ring, top, stream)
+        for q in sorted(degrees - {top}):
+            F = F + random_dual_element(ring, q, stream)
+        D, I = filtered_dual(F)
+        alg = I.algebra
+        expected = _initial_forms_by_definition(alg, I.space, lambda d: range(d, alg.bound))
+        assert associated_graded_ideal(I).pieces == expected
+        expected = _initial_forms_by_definition(alg, D.space, lambda q: range(q + 1))
+        assert associated_graded_submodule(D).pieces == {-q: s for q, s in expected.items()}
 
 
 # ---------------------------------------------------------------------------

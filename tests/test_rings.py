@@ -52,6 +52,28 @@ def test_dim_matches_enumeration(d):
     assert graded_dim(R3, d) == len(monomials_of_degree(R3, d))
 
 
+def test_field_primality():
+    def trial_division(n):
+        return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+    def accepted(n):
+        try:
+            return GF(n).p == n
+        except ValueError:
+            return False
+
+    assert [n for n in range(3000) if accepted(n)] == [
+        n for n in range(3000) if trial_division(n)
+    ]
+    # a Carmichael number and a strong pseudoprime to the bases 2, 3, 5, 7
+    for n in (561, 3215031751):
+        with pytest.raises(ValueError, match="not prime"):
+            GF(n)
+    assert GF(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(ValueError, match=r"p < 2\^64"):
+        GF(2**64 + 13)
+
+
 def test_field_arithmetic():
     assert QQ.of("2/3") == Fraction(2, 3)
     k = GF(101)
