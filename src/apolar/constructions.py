@@ -14,14 +14,12 @@ rationals they are drawn from the integer window [-9, 9].
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .compressed import _as_type, i_set
 from .duality import (
     GradedIdeal,
     InverseElement,
     InverseSystem,
-    QuotientRing,
     annihilator_of_submodule,
     contract,
     dual_dim,
@@ -36,7 +34,6 @@ from .rings import (
     GradedRing,
     MathDomainError,
     Polynomial,
-    Subspace,
     kernel,
     matrix_rank,
 )

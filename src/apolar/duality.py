@@ -485,17 +485,37 @@ def _lift_row(field, row, steps, target_dim):
     return tuple(out)
 
 
-def _multiple_span(ring: GradedRing, pieces: dict, d: int, rows) -> Subspace:
+def _free_blocks(ring: GradedRing, shifts, d: int) -> tuple:
+    """Layout of degree d of the free module ⊕_j A(-shifts[j]): one
+    (start, width, e) per summand, whose block runs over the monomials of
+    degree e = d - shifts[j] in ring order (empty when e < 0)."""
+    out = []
+    start = 0
+    for q in shifts:
+        width = ring.dim(d - q)
+        out.append((start, width, d - q))
+        start += width
+    return tuple(out)
+
+
+def _multiple_span(ring: GradedRing, pieces: dict, d: int, rows, shifts=(0,)) -> Subspace:
     """Span in degree d of ``rows`` and of the multiples, by each variable
     X_i, of the piece in degree d - w_i; degrees missing from ``pieces`` are
-    zero."""
+    zero.  Coordinates are those of the free module ⊕_j A(-shifts[j]), laid
+    out by ``_free_blocks``; the default is A itself."""
     rows = list(rows)
+    target = _free_blocks(ring, shifts, d)
+    ncols = sum(width for _, width, _ in target)
     for i, w in enumerate(ring.weights):
         below = pieces.get(d - w)
         if below is not None:
-            steps = _var_lift(ring, i, d - w)
-            rows.extend(_lift_row(ring.field, r, steps, ring.dim(d)) for r in below.rows)
-    return echelon(ring.field, rows, ring.dim(d))
+            steps = tuple(
+                start + t
+                for (start, _, e) in target
+                for t in _var_lift(ring, i, e - w)
+            )
+            rows.extend(_lift_row(ring.field, r, steps, ncols) for r in below.rows)
+    return echelon(ring.field, rows, ncols)
 
 
 def apolar_annihilator(ideal: GradedIdeal) -> InverseSystem:

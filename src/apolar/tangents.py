@@ -5,8 +5,14 @@ of T := Hom_R(I, C) are computed by fixing the images of a minimal generating
 set and imposing the syzygy relations.  A degree-v map sends the generator
 G_i to some c_i in C_{d_i + v}, and the tuple (c_i) extends to a well-defined
 map exactly when every relation sum a_i G_i = 0 forces sum a_i c_i = 0 in C.
-Relations of degree d > s - v land in a zero piece of C and impose nothing,
-so the finitely many syzygy spaces with d <= s - v decide each dimension.
+A multiple b*a of a relation a imposes nothing that a does not, so only the
+minimal syzygies are imposed; they are found once per profile, degree by
+degree.  The multiples x_j Syz_{d - w_j} are taken first, and Syz_d is
+solved for only when they fall short of its dimension
+sum_i dim R_{d - d_i} - dim I_d.  Minimal syzygies are Tor_2(C, k), which the
+Koszul complex places in degrees at most s plus the two largest weights;
+relations of degree d > s - v land in a zero piece of C and impose nothing
+on T_v either.
 
 The negative part of T detects trivial negative tangents: for homogeneous C
 the sum of dim T_v over v < 0 always contains the r directions obtained by
@@ -15,9 +21,10 @@ tangents" criterion used to flag elementary components.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .compressed import dimension_formulas, i_set, is_permissible
-from .duality import GradedIdeal, QuotientRing, _multiple_span
+from .duality import GradedIdeal, QuotientRing, _free_blocks, _multiple_span
 from .invariants import IntSeq, is_gorenstein
 from .rings import (
     BoundExceededError,
@@ -26,7 +33,6 @@ from .rings import (
     Subspace,
     complete_span,
     kernel,
-    matrix_rank,
     mult_matrix,
 )
 
@@ -84,30 +90,51 @@ def syzygies_at_degree(gens, d: int) -> Subspace:
         raise MathDomainError("no generators")
     ring = gens[0].ring
     field = ring.field
-    widths = []
-    mats = []
-    for g in gens:
-        if g.ring != ring:
-            raise ValueError("generators live in different rings")
-        e = d - g.degree()
-        if e < 0 or ring.dim(e) == 0:
-            widths.append(0)
-            mats.append(None)
-        else:
-            widths.append(ring.dim(e))
-            mats.append(mult_matrix(ring, g, e))
-    total = sum(widths)
+    if any(g.ring != ring for g in gens):
+        raise ValueError("generators live in different rings")
+    blocks = _free_blocks(ring, [g.degree() for g in gens], d)
+    total = sum(w for _, w, _ in blocks)
     if total == 0:
         return Subspace.zero(field, 0)
-    nrows = ring.dim(d)
-    matrix = []
-    for t in range(nrows):
-        row = []
-        for w, m in zip(widths, mats):
-            if w:
-                row.extend(m[t])
-        matrix.append(row)
+    mats = [mult_matrix(ring, g, e) for g, (_, w, e) in zip(gens, blocks) if w]
+    matrix = [[c for m in mats for c in m[t]] for t in range(ring.dim(d))]
     return kernel(field, matrix, total)
+
+
+def _minimal_syzygies(ideal: GradedIdeal, mingens, top: int) -> dict:
+    """Minimal first syzygies of ``mingens`` in degrees <= ``top``, as
+    degree -> rows in the blocked coordinates of ``syzygies_at_degree``.
+
+    Degree by degree, the multiples x_j Syz_{d - w_j} span part of Syz_d,
+    whose dimension is sum_i dim R_{d - d_i} - dim I_d.  Only when they fall
+    short is Syz_d solved for, and the minimal syzygies complete the
+    multiples to it.
+    """
+    ring = ideal.ring
+    degs = [d for d, _ in mingens]
+    polys = [g for _, g in mingens]
+    syz = {}
+    minimal = {}
+    for d in range(min(degs), top + 1):
+        dim_I = ideal.pieces[d].dim if d < ideal.bound else ring.dim(d)
+        count = sum(w for _, w, _ in _free_blocks(ring, degs, d)) - dim_I
+        if count == 0:
+            continue
+        covered = _multiple_span(ring, syz, d, (), degs)
+        if covered.dim < count:
+            full = syzygies_at_degree(polys, d)
+            minimal[d] = complete_span(covered, full.rows)
+            covered = full
+        syz[d] = covered
+    return minimal
+
+
+def _syzygy_top(ring, s: int, cutoff: int) -> int:
+    """``cutoff``, lowered to the top degree in which a minimal syzygy can
+    live: Tor_2(C, k)_d is a subquotient of the Koszul term
+    ⊕_{a<b} C_{d - w_a - w_b}, which vanishes above s plus the two largest
+    weights."""
+    return min(cutoff, s + sum(sorted(ring.weights)[-2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -138,38 +165,22 @@ class TangentProfile:
         return self.negative_total == self.nvars
 
 
-def _hom_dim(C: QuotientRing, s: int, mingens, v: int, cutoff: int | None = None) -> int:
+def _hom_dim(C: QuotientRing, mingens, minsyz: dict, v: int, cutoff: int) -> int:
     ring = C.ring
     field = ring.field
     degs = [d for d, _ in mingens]
-    polys = [g for _, g in mingens]
     widths = [C.dim(d + v) for d in degs]
     total = sum(widths)
     if total == 0:
         return 0
-    offsets = []
-    run = 0
-    for w in widths:
-        offsets.append(run)
-        run += w
-    if cutoff is None:
-        cutoff = s - v
+    offsets = list(accumulate(widths, initial=0))
     rows = []
-    for d in range(min(degs), cutoff + 1):
+    for d, syz in minsyz.items():
         tgt = C.dim(d + v)
-        if tgt == 0:
+        if d > cutoff or tgt == 0:
             continue
-        syz = syzygies_at_degree(polys, d)
-        if not syz.dim:
-            continue
-        split = []
-        pos = 0
-        for g in polys:
-            e = d - g.degree()
-            w = ring.dim(e) if e >= 0 else 0
-            split.append((pos, w, e))
-            pos += w
-        for rel in syz.rows:
+        split = _free_blocks(ring, degs, d)
+        for rel in syz:
             blocks = []
             for i, (start, w, e) in enumerate(split):
                 if w == 0 or widths[i] == 0:
@@ -202,7 +213,12 @@ def tangent_dim(ideal: GradedIdeal, v: int, cutoff: int | None = None) -> int:
     """dim Hom(I, C)_v; ``cutoff`` overrides the syzygy degree bound s - v,
     which is already complete because C vanishes above its socle degree."""
     C = QuotientRing(ideal)
-    return _hom_dim(C, C.top_degree(), minimal_generators(ideal), v, cutoff)
+    s = C.top_degree()
+    if cutoff is None:
+        cutoff = s - v
+    mingens = minimal_generators(ideal)
+    minsyz = _minimal_syzygies(ideal, mingens, _syzygy_top(ideal.ring, s, cutoff))
+    return _hom_dim(C, mingens, minsyz, v, cutoff)
 
 
 def hom_dims(ideal: GradedIdeal, v_range=None) -> TangentProfile:
@@ -214,14 +230,18 @@ def hom_dims(ideal: GradedIdeal, v_range=None) -> TangentProfile:
     taken over the full window [-max d_i, -1] regardless of ``v_range``.
     """
     C = QuotientRing(ideal)
-    s = C.top_degree()
-    mingens = minimal_generators(ideal)
+    return _profile(C, C.top_degree(), minimal_generators(ideal), v_range)
+
+
+def _profile(C: QuotientRing, s: int, mingens, v_range) -> TangentProfile:
+    ideal = C.ideal
     degs = [d for d, _ in mingens]
     lo, hi = -max(degs), s - min(degs)
     if v_range is None:
         v_range = range(lo, hi + 1)
     wanted = sorted(set(v_range) | set(range(lo, 0)))
-    dims = {v: _hom_dim(C, s, mingens, v) for v in wanted}
+    minsyz = _minimal_syzygies(ideal, mingens, _syzygy_top(ideal.ring, s, s - lo))
+    dims = {v: _hom_dim(C, mingens, minsyz, v, s - v) for v in wanted}
     negative_total = sum(dims[v] for v in range(lo, 0))
     shown = {v: dims[v] for v in sorted(v_range)}
     return TangentProfile(
@@ -243,10 +263,9 @@ def tnt_verdict(ideal: GradedIdeal) -> bool:
 
 
 def squared_ideal_dim(ideal: GradedIdeal, mingens, e: int) -> int:
-    """dim (I/I^2)_e, with (I^2)_e spanned by monomial multiples of the
-    pairwise generator products."""
+    """dim (I/I^2)_e, with (I^2)_e built degree by degree from the pairwise
+    generator products and the variable multiples of the degree below."""
     ring = ideal.ring
-    field = ring.field
     if e < 0:
         return 0
     amb = ring.dim(e)
@@ -258,17 +277,15 @@ def squared_ideal_dim(ideal: GradedIdeal, mingens, e: int) -> int:
         dim_I = amb
     else:
         raise BoundExceededError(f"degree {e} beyond truncation bound {ideal.bound}")
-    rows = []
+    products = {}
     for i, (di, gi) in enumerate(mingens):
         for dj, gj in mingens[i:]:
-            rem = e - di - dj
-            if rem < 0:
-                continue
-            prod = gi * gj
-            for m in ring.monomials(rem):
-                lifted = prod * Polynomial.monomial(ring, m)
-                rows.append(lifted.coefficient_vector(e))
-    return dim_I - matrix_rank(field, rows, amb)
+            if di + dj <= e:
+                products.setdefault(di + dj, []).append((gi * gj).coefficient_vector(di + dj))
+    square = {}
+    for d in range(e + 1):
+        square[d] = _multiple_span(ring, square, d, products.get(d, ()))
+    return dim_I - square[e].dim
 
 
 @dataclass(frozen=True)
@@ -290,14 +307,15 @@ def gorenstein_tangent_crosscheck(ideal: GradedIdeal, s: int | None = None) -> C
     """
     if not is_gorenstein(ideal):
         raise MathDomainError("quotient is not Gorenstein")
-    profile = hom_dims(ideal)
+    C = QuotientRing(ideal)
+    mingens = minimal_generators(ideal)
+    profile = _profile(C, C.top_degree(), mingens, None)
     if s is None:
         s = profile.socle_degree
     elif s != profile.socle_degree:
         raise MathDomainError(
             f"socle degree is {profile.socle_degree}, not {s}"
         )
-    mingens = minimal_generators(ideal)
     rows = []
     agree = True
     for v in sorted(profile.dims):

@@ -1,8 +1,11 @@
 """Graded Hom(I, C) tangents, the I/I^2 route, and elementary-family counts."""
 
 import time
+from collections import Counter
 
 import pytest
+
+import apolar.tangents as tangents_module
 
 from apolar.constructions import derived_seed, random_dual_generators
 from apolar.duality import (
@@ -20,9 +23,12 @@ from apolar.rings import (
     GradedRing,
     MathDomainError,
     Polynomial,
+    echelon,
+    kernel,
     matrix_rank,
 )
 from apolar.tangents import (
+    _minimal_syzygies,
     elementary_report,
     gorenstein_tangent_crosscheck,
     hom_dims,
@@ -223,6 +229,194 @@ class TestBruteOracle:
             for v in range(lo - 2, hi + 1):
                 assert prof.dim(v) == brute_hom_dim(I, v), (I, v)
         assert time.time() - start < 60
+
+
+def all_syzygies_hom_dim(ideal, v, cutoff=None):
+    """Oracle: dim Hom(I, C)_v imposing every syzygy of the minimal
+    generators, all of ``syzygies_at_degree`` in each degree d <= cutoff
+    (default s - v), rather than the minimal ones only."""
+    C = QuotientRing(ideal)
+    s = C.top_degree()
+    mingens = minimal_generators(ideal)
+    ring = C.ring
+    field = ring.field
+    degs = [d for d, _ in mingens]
+    polys = [g for _, g in mingens]
+    widths = [C.dim(d + v) for d in degs]
+    total = sum(widths)
+    if total == 0:
+        return 0
+    offsets = []
+    run = 0
+    for w in widths:
+        offsets.append(run)
+        run += w
+    if cutoff is None:
+        cutoff = s - v
+    rows = []
+    for d in range(min(degs), cutoff + 1):
+        tgt = C.dim(d + v)
+        if tgt == 0:
+            continue
+        syz = syzygies_at_degree(polys, d)
+        if not syz.dim:
+            continue
+        split = []
+        pos = 0
+        for g in polys:
+            e = d - g.degree()
+            w = ring.dim(e) if e >= 0 else 0
+            split.append((pos, w, e))
+            pos += w
+        for rel in syz.rows:
+            blocks = []
+            for i, (start, w, e) in enumerate(split):
+                if w == 0 or widths[i] == 0:
+                    blocks.append(None)
+                    continue
+                coeffs = rel[start : start + w]
+                if all(c == 0 for c in coeffs):
+                    blocks.append(None)
+                    continue
+                monos = ring.monomials(e)
+                a = Polynomial(ring, {m: c for m, c in zip(monos, coeffs) if c != 0})
+                blocks.append(C.mult_matrix(a, degs[i] + v))
+            if all(b is None for b in blocks):
+                continue
+            for t in range(tgt):
+                row = [field.zero] * total
+                for i, b in enumerate(blocks):
+                    if b is None:
+                        continue
+                    for j in range(widths[i]):
+                        row[offsets[i] + j] = b[t][j]
+                if any(c != 0 for c in row):
+                    rows.append(row)
+    if not rows:
+        return total
+    return kernel(field, rows, total).dim
+
+
+F32003 = GF(32003)
+
+# (ring, socle type of the dual generators, seed): GF(101), GF(32003) and QQ,
+# r = 2-4, one or two dual generators, and the weighted rings x,y:2,
+# x:2,y:3 and x,y,z:2
+SEEDED = [
+    (GradedRing.standard(F101, 2), {5: 1}, 11),
+    (GradedRing.standard(F101, 3), {2: 1, 3: 1}, 12),
+    (GradedRing.standard(F32003, 3), {4: 1}, 13),
+    (GradedRing.standard(F32003, 4), {3: 1}, 14),
+    (GradedRing.standard(F32003, 2), {3: 1, 4: 1}, 15),
+    (GradedRing.standard(QQ, 2), {2: 1, 4: 1}, 16),
+    (GradedRing.standard(QQ, 3), {3: 1}, 17),
+    (GradedRing(("x", "y"), (1, 2), F101), {4: 1, 5: 1}, 18),
+    (GradedRing(("x", "y"), (2, 3), F32003), {12: 1}, 19),
+    (GradedRing(("x", "y", "z"), (1, 1, 2), QQ), {4: 1}, 20),
+    (GradedRing(("x", "y", "z"), (1, 1, 2), F101), {3: 1, 4: 1}, 21),
+]
+
+
+def seeded_ideals():
+    for ring, t, seed in SEEDED:
+        D = generated_submodule(random_dual_generators(ring, t, seed=seed))
+        s = -min(D.support())
+        yield annihilator_of_submodule(D, bound=s + max(ring.weights) + 1)
+
+
+def monomial_ci(ring, a, b):
+    x, y = var(ring, 0), var(ring, 1)
+    s = ring.weights[0] * (a - 1) + ring.weights[1] * (b - 1)
+    return GradedIdeal.from_generators(ring, [x ** a, y ** b], s + max(ring.weights) + 1)
+
+
+def multiples_by_polynomials(ring, degs, rows, d, i):
+    """The blocked coordinate vectors, in degree d + w_i, of x_i times the
+    blocked degree-d syzygy rows, multiplied out as polynomials."""
+    x = var(ring, i)
+    e = d + ring.weights[i]
+    out = []
+    for row in rows:
+        vec = []
+        pos = 0
+        for dg in degs:
+            w = ring.dim(d - dg)
+            part = Polynomial.from_vector(ring, d - dg, row[pos : pos + w])
+            pos += w
+            vec.extend((part * x).coefficient_vector(e - dg))
+        out.append(vec)
+    return out
+
+
+class TestMinimalSyzygies:
+    def check_spans(self, ideal):
+        """Minimal syzygies plus the multiples from below span every
+        syzygy space up to s + max deg g_i; none lie above the Koszul bound."""
+        ring = ideal.ring
+        s = QuotientRing(ideal).top_degree()
+        mingens = minimal_generators(ideal)
+        degs = [d for d, _ in mingens]
+        polys = [g for _, g in mingens]
+        top = s + max(degs)
+        minsyz = _minimal_syzygies(ideal, mingens, top)
+        koszul = s + sum(sorted(ring.weights)[-2:])
+        assert all(d <= koszul for d in minsyz)
+        spans = {}
+        for d in range(top + 1):
+            width = sum(ring.dim(d - dg) for dg in degs)
+            rows = list(minsyz.get(d, ()))
+            for i, w in enumerate(ring.weights):
+                if d - w in spans:
+                    rows += multiples_by_polynomials(ring, degs, spans[d - w].rows, d - w, i)
+            spans[d] = echelon(ring.field, rows, width)
+            assert spans[d] == syzygies_at_degree(polys, d), d
+        return s, minsyz
+
+    def test_seeded_instances(self):
+        for ideal in seeded_ideals():
+            self.check_spans(ideal)
+
+    def test_monomial_complete_intersections_attain_the_bound(self):
+        for ring, a, b in ((R2, 3, 4), (GradedRing(("x", "y"), (2, 3), F101), 3, 2)):
+            s, minsyz = self.check_spans(monomial_ci(ring, a, b))
+            top_syzygy = ring.weights[0] * a + ring.weights[1] * b
+            assert list(minsyz) == [top_syzygy]
+            assert top_syzygy == s + sum(ring.weights)
+            assert len(minsyz[top_syzygy]) == 1
+
+
+class TestAllSyzygiesOracle:
+    def test_profiles_and_cutoffs_match(self):
+        start = time.time()
+        for ideal in seeded_ideals():
+            prof = hom_dims(ideal)
+            s = prof.socle_degree
+            for v in prof.dims:
+                assert prof.dim(v) == all_syzygies_hom_dim(ideal, v), (ideal, v)
+            for v in (min(prof.dims), -1, 0, 1):
+                for cutoff in (None, s - v - 1, s - v + 2):
+                    assert tangent_dim(ideal, v, cutoff) == all_syzygies_hom_dim(
+                        ideal, v, cutoff
+                    ), (ideal, v, cutoff)
+        assert time.time() - start < 10
+
+
+class TestSyzygyCalls:
+    def test_at_most_once_per_degree(self, monkeypatch):
+        ring = GradedRing.standard(F32003, 3)
+        D = generated_submodule(random_dual_generators(ring, {5: 1}, seed=1))
+        ideal = annihilator_of_submodule(D, bound=7)
+        calls = Counter()
+        solve = tangents_module.syzygies_at_degree
+
+        def counting(gens, d):
+            calls[d] += 1
+            return solve(gens, d)
+
+        monkeypatch.setattr(tangents_module, "syzygies_at_degree", counting)
+        hom_dims(ideal)
+        assert calls
+        assert max(calls.values()) == 1
 
 
 class TestGorensteinCrosscheck:
