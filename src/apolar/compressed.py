@@ -119,10 +119,6 @@ class ISetReport:
             return None
         return m
 
-    def g_m(self, m: int) -> IntSeq:
-        m = self._clamp(m)
-        return IntSeq() if m is None else self.g[m]
-
     def hI_m(self, m: int) -> IntSeq:
         m = self._clamp(m)
         return IntSeq() if m is None else self.hI[m]
@@ -130,12 +126,6 @@ class ISetReport:
     def betaI_m(self, m: int) -> int:
         m = self._clamp(m)
         return 0 if m is None else self.betaI[m]
-
-    def v_m(self, m: int) -> int | None:
-        m = self._clamp(m)
-        if m is not None:
-            return self.v[m]
-        return next((p for p in range(self.s + 2) if self.b[p] > 0), None)
 
     @property
     def beta(self) -> int:

@@ -21,6 +21,7 @@ from .duality import (
     InverseElement,
     InverseSystem,
     annihilator_of_submodule,
+    catalecticant_matrix,
     contract,
     dual_dim,
     dual_minimal_generators,
@@ -695,7 +696,8 @@ def shifted_dual_presentation(D: InverseSystem) -> ShiftedDualReport:
     """Present the shift of D placing its generators in nonnegative degrees
     as a quotient of ⊕_j A(q_j - s), one summand per minimal generator, and
     dualize the presentation degreewise: the piece at each degree is the
-    orthogonal complement of the relations among the contracted generators.
+    orthogonal complement of the relations among the contracted generators,
+    the kernel of the generators' catalecticants side by side.
     """
     if D.shifts != (0,):
         raise MathDomainError("expected a dual submodule of a rank-one ambient")
@@ -709,18 +711,11 @@ def shifted_dual_presentation(D: InverseSystem) -> ShiftedDualReport:
     shifts = tuple(q - q_min for q in qs)
     pieces = {}
     for n_sh in range(-q_min, max(shifts) + 1):
-        cols = []
-        for j, g in enumerate(gens):
-            e = shifts[j] - n_sh
-            if e < 0:
-                continue
-            for m in ring.monomials(e):
-                moved = contract(Polynomial.monomial(ring, m), g)
-                cols.append(moved.coefficient_vector(-q_min - n_sh))
-        total = len(cols)
+        total = sum(ring.dim(q - n_sh) for q in shifts)
         if total == 0:
             continue
-        rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
+        mats = [catalecticant_matrix(g, -q_min - n_sh) for g in gens]
+        rows = [sum(parts, ()) for parts in zip(*mats)]
         pieces[n_sh] = kernel(field, rows, total).perp()
     E = InverseSystem(ring, pieces, shifts)
     st = generator_type(E)

@@ -12,6 +12,14 @@ graded of each side.
 Free-module duals are supported through shift vectors: the dual of
 B = A(q_1) + ... + A(q_t) has degree-n basis {(j, 1/M) : wdeg M = q_j - n},
 component-major.  Shifts are normalized so the smallest is 0.
+
+Contraction by X_i is the transpose of multiplication, read off the one
+index map ``rings._var_step``: in each component, coordinate j of the
+contracted vector, for the j-th monomial M of degree q_j - n - w_i, is the
+coordinate of M * X_i, at ``_var_step(weights, i, q_j - n - w_i)[j]``.  The
+matrix of contraction by a monomial L on a dual element f, L -> L . f, is
+the catalecticant of f, and on C = A/I every multiplication matrix is a
+combination of cached products of the variable matrices.
 """
 
 from __future__ import annotations
@@ -25,9 +33,12 @@ from .rings import (
     Polynomial,
     Subspace,
     TruncatedAlgebra,
+    _monomials_by_degree,
+    _var_step,
     complete_span,
     echelon,
     kernel,
+    mat_mul,
     rref,
     truncate_algebra,
 )
@@ -36,8 +47,6 @@ from .rings import (
 @functools.lru_cache(maxsize=None)
 def _dual_basis(weights: tuple, shifts: tuple, n: int) -> tuple:
     """Canonical basis of the degree-n piece of the shifted dual module."""
-    from .rings import _monomials_by_degree
-
     out = []
     for j, q in enumerate(shifts):
         out.extend((j, m) for m in _monomials_by_degree(weights, q - n))
@@ -219,16 +228,13 @@ def contract(psi: Polynomial, f: InverseElement) -> InverseElement:
 
 
 def _contract_step(ring: GradedRing, shifts: tuple, n: int, i: int, vec):
-    """Contract a degree-n dual coordinate vector by variable i."""
-    field = ring.field
-    tgt = n + ring.weights[i]
-    pos = _dual_positions(ring.weights, shifts, tgt)
-    out = [field.zero] * len(pos)
-    for (j, m), c in zip(_dual_basis(ring.weights, shifts, n), vec):
-        if c != 0 and m[i] >= 1:
-            key = (j, tuple(e - 1 if k == i else e for k, e in enumerate(m)))
-            t = pos[key]
-            out[t] = field.add(out[t], c)
+    """Contract a degree-n dual coordinate vector by variable i: a gather
+    through ``_var_step`` in each component's block."""
+    out = []
+    start = 0
+    for q in shifts:
+        out.extend(vec[start + t] for t in _var_step(ring.weights, i, q - n - ring.weights[i]))
+        start += ring.dim(q - n)
     return tuple(out)
 
 
@@ -462,21 +468,6 @@ class GradedIdeal:
         return f"<GradedIdeal dims {dims} bound {self.bound}>"
 
 
-@functools.lru_cache(maxsize=None)
-def _var_lift_cached(weights: tuple, i: int, d: int) -> tuple:
-    from .rings import _monomial_positions, _monomials_by_degree
-
-    pos = _monomial_positions(weights, d + weights[i])
-    return tuple(
-        pos[tuple(e + 1 if k == i else e for k, e in enumerate(m))]
-        for m in _monomials_by_degree(weights, d)
-    )
-
-
-def _var_lift(ring: GradedRing, i: int, d: int) -> tuple:
-    return _var_lift_cached(ring.weights, i, d)
-
-
 def _lift_row(field, row, steps, target_dim):
     out = [field.zero] * target_dim
     for c, t in zip(row, steps):
@@ -512,7 +503,7 @@ def _multiple_span(ring: GradedRing, pieces: dict, d: int, rows, shifts=(0,)) ->
             steps = tuple(
                 start + t
                 for (start, _, e) in target
-                for t in _var_lift(ring, i, e - w)
+                for t in _var_step(ring.weights, i, e - w)
             )
             rows.extend(_lift_row(ring.field, r, steps, ncols) for r in below.rows)
     return echelon(ring.field, rows, ncols)
@@ -534,7 +525,8 @@ def annihilator_of_submodule(D: InverseSystem, bound: int | None = None) -> Grad
     """The ideal (0 : D) of everything annihilating a graded dual submodule.
 
     Degreewise a stacked kernel: psi of degree p must contract every basis
-    element of every piece of D to zero.
+    element f of every piece D_n to zero, and the matrix of psi -> psi . f
+    is the catalecticant of f at n + p.
     """
     if len(D.shifts) != 1:
         raise MathDomainError("annihilator ideals are computed in rank one")
@@ -543,24 +535,17 @@ def annihilator_of_submodule(D: InverseSystem, bound: int | None = None) -> Grad
     supp = D.support()
     if bound is None:
         bound = (-min(supp) if supp else 0) + 2
+    elements = {n: D.elements(n) for n in supp}
     pieces = {}
     for p in range(bound):
         ncols = ring.dim(p)
-        rows = []
-        mons_p = ring.monomials(p)
-        for n in supp:
-            q = -n
-            if q < p:
-                continue
-            # row block: for each basis f of D_n, the matrix of psi -> psi . f
-            for f in D.elements(n):
-                tgt = _dual_positions(ring.weights, D.shifts, n + p)
-                block = [[field.zero] * ncols for _ in range(len(tgt))]
-                for v, lm in enumerate(mons_p):
-                    moved = contract(Polynomial.monomial(ring, lm), f)
-                    for key, c in moved.terms.items():
-                        block[tgt[key]][v] = c
-                rows.extend(block)
+        rows = [
+            row
+            for n in supp
+            if -n >= p
+            for f in elements[n]
+            for row in catalecticant_matrix(f, n + p)
+        ]
         pieces[p] = kernel(field, rows, ncols) if rows else Subspace.full(field, ncols)
     return GradedIdeal(ring, bound, pieces)
 
@@ -693,18 +678,20 @@ def filtered_dual(F: InverseElement, bound: int | None = None):
     ring = F.ring
     field = ring.field
     algebra = truncate_algebra(ring, bound)
-    columns = []
-    rows = []
-    for d in range(bound):
-        for lm in ring.monomials(d):
-            moved = contract(Polynomial.monomial(ring, lm), F)
-            vec = dual_vector_of(algebra, moved)
-            columns.append(vec)
-            rows.append(vec)
+    # moved[d][j] = L . F for the j-th monomial L of degree d, contracted by
+    # X_i from (L / X_i) . F one weight below
+    moved = [[dual_vector_of(algebra, F)]]
+    for d in range(1, bound):
+        got = [None] * ring.dim(d)
+        for i, w in enumerate(ring.weights):
+            for j, t in enumerate(_var_step(ring.weights, i, d - w)):
+                if got[t] is None:
+                    got[t] = algebra.contract_by_var(i, moved[d - w][j])
+        moved.append(got)
     # columns of psi -> psi.F, indexed by the monomial basis of the algebra
-    matrix = list(zip(*columns)) if columns else []
-    ideal_space = kernel(field, matrix, algebra.total_dim)
-    D = FilteredDual(algebra, echelon(field, rows, algebra.total_dim), gens=[F])
+    columns = [vec for block in moved for vec in block]
+    ideal_space = kernel(field, list(zip(*columns)), algebra.total_dim)
+    D = FilteredDual(algebra, echelon(field, columns, algebra.total_dim), gens=[F])
     return D, FilteredIdeal(algebra, ideal_space, gens=None)
 
 
@@ -764,15 +751,19 @@ def associated_graded_submodule(D: FilteredDual) -> InverseSystem:
 
 class QuotientRing:
     """C = A/I with canonical coordinates: in each degree, the monomials at
-    the non-pivot columns of I's echelon basis represent a basis of C."""
+    the non-pivot columns of I's echelon basis represent a basis of C.
 
-    __slots__ = ("ideal", "ring", "bound", "_mats")
+    Multiplication matrices are memoized: one per variable and degree, and
+    one per monomial and source degree, the product of variable matrices."""
+
+    __slots__ = ("ideal", "ring", "bound", "_mats", "_monos")
 
     def __init__(self, ideal: GradedIdeal):
         self.ideal = ideal
         self.ring = ideal.ring
         self.bound = ideal.bound
         self._mats = {}
+        self._monos = {}
 
     def dim(self, d: int) -> int:
         return self.ideal.quotient_dim(d)
@@ -790,38 +781,58 @@ class QuotientRing:
         key = (i, d)
         if key not in self._mats:
             ring = self.ring
-            field = ring.field
             w = ring.weights[i]
-            tgt_dim = self.dim(d + w)
             cols = []
-            steps = _var_lift(ring, i, d) if d + w < self.bound else None
-            for c in self.basis_positions(d):
-                if d + w >= self.bound:
-                    cols.append((field.zero,) * tgt_dim)
-                    continue
-                amb = [field.zero] * ring.dim(d + w)
-                amb[steps[c]] = field.one
-                cols.append(self.reduce(d + w, amb))
-            self._mats[key] = tuple(zip(*cols)) if cols else tuple(() for _ in range(tgt_dim))
+            if d + w < self.bound:
+                steps = _var_step(ring.weights, i, d)
+                for c in self.basis_positions(d):
+                    amb = [ring.field.zero] * ring.dim(d + w)
+                    amb[steps[c]] = ring.field.one
+                    cols.append(self.reduce(d + w, amb))
+            self._mats[key] = tuple(zip(*cols)) if cols else self._zero(d, w)
         return self._mats[key]
+
+    def monomial_matrix(self, m, d: int):
+        """Matrix of multiplication by the monomial x^m from C_d to
+        C_{d + deg m}: the variable matrix of its last variable times the
+        matrix of the rest."""
+        key = (m, d)
+        if key not in self._monos:
+            ring = self.ring
+            i = max((k for k, e in enumerate(m) if e), default=None)
+            if i is None:
+                out = Subspace.full(ring.field, self.dim(d)).rows
+            else:
+                rest = m[:i] + (m[i] - 1,) + m[i + 1:]
+                below = self.monomial_matrix(rest, d)
+                step = self.var_matrix(i, d + ring.wdeg(rest))
+                out = mat_mul(ring.field, step, below) if below else self._zero(d, ring.wdeg(m))
+            self._monos[key] = out
+        return self._monos[key]
+
+    def _zero(self, d: int, e: int):
+        return tuple((self.ring.field.zero,) * self.dim(d) for _ in range(self.dim(d + e)))
+
+    def combination_matrix(self, terms, e: int, d: int):
+        """Matrix from C_d to C_{d+e} of multiplication by the sum of c * x^m
+        over ``terms``, pairs (m, c) with m of degree e."""
+        field = self.ring.field
+        out = [list(row) for row in self._zero(d, e)]
+        if out and out[0]:
+            for m, c in terms:
+                if c != 0:
+                    for row, mrow in zip(out, self.monomial_matrix(m, d)):
+                        for j, x in enumerate(mrow):
+                            if x != 0:
+                                row[j] = field.add(row[j], field.mul(c, x))
+        return tuple(tuple(row) for row in out)
 
     def mult_matrix(self, f: Polynomial, d: int):
         """Matrix of multiplication by a homogeneous f from C_d to C_{d+deg f}."""
         e = f.degree()
-        ring = self.ring
-        field = ring.field
         if d + e >= self.bound and self.dim(d + e):
             raise BoundExceededError("target degree beyond the truncation bound")
-        tgt_dim = self.dim(d + e)
-        cols = []
-        for c in self.basis_positions(d):
-            if tgt_dim == 0:
-                cols.append(())
-                continue
-            m = ring.monomials(d)[c]
-            prod = f * Polynomial.monomial(ring, m)
-            cols.append(self.reduce(d + e, prod.coefficient_vector(d + e)))
-        return tuple(zip(*cols)) if cols and tgt_dim else tuple(() for _ in range(tgt_dim))
+        return self.combination_matrix(f.terms.items(), e, d)
 
     def top_degree(self) -> int:
         tops = [d for d in range(self.bound) if self.dim(d)]
@@ -861,9 +872,8 @@ def hom_into_dual_dims(ideal: GradedIdeal, p: int) -> int:
             if tgt == 0:
                 continue
             M = C.var_matrix(i, d)  # C_d -> C_{d+w}
-            src_pos = _dual_positions(ring.weights, (0,), d + p)
-            dual_basis_src = _dual_basis(ring.weights, (0,), d + p)
-            tgt_pos = _dual_positions(ring.weights, (0,), d + w + p)
+            # x_i . (1/M_b) = 1/M_t exactly for b = step[t]
+            step = _var_step(ring.weights, i, -(d + w + p))
             for a in range(C.dim(d)):
                 for t in range(tgt):
                     row = [field.zero] * total
@@ -874,14 +884,8 @@ def hom_into_dual_dims(ideal: GradedIdeal, p: int) -> int:
                             if coef != 0:
                                 row[offsets[d + w] + a2 * tgt + t] = coef
                     # minus x_i . phi(c_a) side
-                    for b, (j, m) in enumerate(dual_basis_src):
-                        if m[i] >= 1:
-                            key = (j, tuple(e - 1 if k == i else e for k, e in enumerate(m)))
-                            if tgt_pos[key] == t:
-                                idx = offsets[d] + a * len(dual_basis_src) + b
-                                row[idx] = field.sub(row[idx], field.one)
-                    if any(c != 0 for c in row):
-                        rows.append(row)
+                    row[offsets[d] + a * dual_d(d + p) + step[t]] = field.neg(field.one)
+                    rows.append(row)
     if not rows:
         return total
     return kernel(field, rows, total).dim

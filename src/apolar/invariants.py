@@ -20,7 +20,7 @@ from .duality import (
     apolar_annihilator,
     dual_minimal_generators,
 )
-from .rings import MathDomainError, Polynomial, Subspace, echelon, kernel
+from .rings import MathDomainError, Subspace, echelon, kernel
 
 
 class IntSeq:
@@ -334,11 +334,9 @@ def linkage(ambient: GradedIdeal, ideal: GradedIdeal) -> LinkageReport:
             src = image.get(e)
             if src is None or not src.dim:
                 continue
+            monos = [ring.monomials(e)[pos] for pos in Q.basis_positions(e)]
             for urow in src.rows:
-                upoly = _lift_poly(Q, e, urow)
-                if upoly.is_zero():
-                    continue
-                rows.extend(Q.mult_matrix(upoly, d))
+                rows.extend(Q.combination_matrix(zip(monos, urow), e, d))
         link_q[d] = kernel(field, rows, n) if rows else Subspace.full(field, n)
 
     # lift back to an ideal of R containing J
@@ -369,15 +367,6 @@ def linkage(ambient: GradedIdeal, ideal: GradedIdeal) -> LinkageReport:
         generator_degrees=tuple(gen_degs),
         is_cyclic=(len(gen_degs) == 1),
     )
-
-
-def _lift_poly(Q: QuotientRing, d: int, qvec):
-    ring = Q.ring
-    terms = {}
-    for c, pos in zip(qvec, Q.basis_positions(d)):
-        if c != 0:
-            terms[ring.monomials(d)[pos]] = c
-    return Polynomial(ring, terms)
 
 
 def linkage_predicted_hilbert(ambient_h: IntSeq, quotient_h: IntSeq, top: int) -> IntSeq:

@@ -7,6 +7,14 @@ lexicographically on exponent vectors, largest first; that order fixes the
 column indexing of every matrix produced here and makes all downstream
 computations reproducible bit for bit.
 
+The variables act through one index map, ``_var_step(weights, i, d)``: for
+each monomial of degree d, in that order, the index of its product with X_i
+among the monomials of degree d + w_i.  Multiplication by X_i sends basis
+vector j of A_d to basis vector step[j] of A_{d+w_i}; contraction by X_i is
+its transpose, reading coordinate step[j] of a degree-(d + w_i) dual vector
+into coordinate j of the degree-d one.  Every variable multiplication and
+contraction matrix in the package is read off this map.
+
 Coefficients live in an exact field: the rationals (``fractions.Fraction``)
 or a prime field GF(p) (plain ints reduced mod p).  Subspaces of a graded
 piece are stored in reduced row-echelon form, so two subspaces are equal
@@ -75,10 +83,6 @@ class Field:
         if p is not None and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-
-    @property
-    def char(self) -> int:
-        return 0 if self.p is None else self.p
 
     def of(self, x):
         """Coerce an int, Fraction, or string like ``"2/3"`` into the field."""
@@ -181,6 +185,14 @@ def _monomials_by_degree(weights: tuple, d: int) -> tuple:
 @functools.lru_cache(maxsize=None)
 def _monomial_positions(weights: tuple, d: int) -> dict:
     return {m: i for i, m in enumerate(_monomials_by_degree(weights, d))}
+
+
+@functools.lru_cache(maxsize=None)
+def _var_step(weights: tuple, i: int, d: int) -> tuple:
+    """For each monomial of degree d, its index after multiplying by X_i
+    among the monomials of degree d + w_i; empty when d < 0."""
+    pos = _monomial_positions(weights, d + weights[i])
+    return tuple(pos[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in _monomials_by_degree(weights, d))
 
 
 @dataclass(frozen=True)
@@ -617,11 +629,11 @@ class TruncatedAlgebra:
     """The truncation A/F^N: graded pieces of degree < N with their structure.
 
     The total space is the direct sum of the pieces, indexed degree-major in
-    the canonical monomial order; ``var_step`` records where multiplication
-    by each variable sends each basis monomial (or None past the bound).
+    the canonical monomial order; the variables act through ``_var_step``,
+    truncated at the bound.
     """
 
-    __slots__ = ("ring", "bound", "dims", "offsets", "total_dim", "_steps")
+    __slots__ = ("ring", "bound", "dims", "offsets", "total_dim")
 
     def __init__(self, ring: GradedRing, bound: int):
         if bound < 1:
@@ -636,7 +648,6 @@ class TruncatedAlgebra:
             acc += self.dims[d]
         self.offsets = tuple(offsets)
         self.total_dim = acc
-        self._steps = {}
 
     def index(self, d: int, j: int) -> int:
         return self.offsets[d] + j
@@ -644,53 +655,27 @@ class TruncatedAlgebra:
     def degrees(self):
         return range(self.bound)
 
-    def var_step(self, i: int, d: int):
-        """For each basis monomial of degree d, its slot after multiplying by
-        variable i: the index within degree d + w_i, or None past the bound."""
-        key = (i, d)
-        if key not in self._steps:
-            ring = self.ring
-            e = ring.weights[i]
-            if d + e >= self.bound:
-                step = tuple(None for _ in ring.monomials(d))
-            else:
-                step = tuple(
-                    ring.monomial_index(
-                        d + e, tuple(x + (1 if k == i else 0) for k, x in enumerate(m))
-                    )
-                    for m in ring.monomials(d)
-                )
-            self._steps[key] = step
-        return self._steps[key]
-
     def multiply_by_var(self, i: int, vec):
         """Multiply a total-space vector by variable i, truncating at the bound."""
-        field = self.ring.field
-        out = [field.zero] * self.total_dim
-        for d in range(self.bound):
-            base = self.offsets[d]
-            step = self.var_step(i, d)
-            tbase = self.offsets[d + self.ring.weights[i]] if d + self.ring.weights[i] < self.bound else None
-            if tbase is None:
-                continue
-            for j in range(self.dims[d]):
-                c = vec[base + j]
-                if c != 0:
-                    t = step[j]
-                    out[tbase + t] = field.add(out[tbase + t], c)
+        weights = self.ring.weights
+        out = [self.ring.field.zero] * self.total_dim
+        for d in range(self.bound - weights[i]):
+            base, tbase = self.offsets[d], self.offsets[d + weights[i]]
+            for j, t in enumerate(_var_step(weights, i, d)):
+                out[tbase + t] = vec[base + j]
         return tuple(out)
 
     def contract_by_var(self, i: int, vec):
         """Contract a total-dual-space vector by variable i: the transpose of
         ``multiply_by_var``, reading the slot of 1/(M * X_i) for each 1/M."""
+        weights = self.ring.weights
         out = []
         for d in range(self.bound):
-            t = d + self.ring.weights[i]
-            if t >= self.bound:
+            if d + weights[i] >= self.bound:
                 out.extend(self.ring.field.zero for _ in range(self.dims[d]))
             else:
-                base = self.offsets[t]
-                out.extend(vec[base + k] for k in self.var_step(i, d))
+                base = self.offsets[d + weights[i]]
+                out.extend(vec[base + k] for k in _var_step(weights, i, d))
         return tuple(out)
 
     def embed(self, d: int, vec):

@@ -46,10 +46,6 @@ class TruncatedSeries:
     def one(cls, bound: int | None = None) -> "TruncatedSeries":
         return cls((1,), 0, bound)
 
-    @classmethod
-    def from_intseq(cls, seq: IntSeq, bound: int | None = None) -> "TruncatedSeries":
-        return cls(seq.values, seq.offset, bound)
-
     def __getitem__(self, p: int) -> int:
         if self.bound is not None and p >= self.bound:
             raise BoundExceededError(f"coefficient at z^{p} is beyond the bound {self.bound}")
@@ -63,13 +59,6 @@ class TruncatedSeries:
 
     def window(self, lo: int, hi: int) -> tuple:
         return tuple(self[p] for p in range(lo, hi))
-
-    def support_top(self) -> int | None:
-        """Largest stored nonzero exponent, or None for a known-zero window."""
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return self.lo + i
-        return None
 
     def as_intseq(self) -> IntSeq:
         return IntSeq(self.coeffs, self.lo)

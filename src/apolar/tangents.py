@@ -21,7 +21,6 @@ tangents" criterion used to flag elementary components.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .compressed import dimension_formulas, i_set, is_permissible
 from .duality import GradedIdeal, QuotientRing, _free_blocks, _multiple_span
@@ -166,47 +165,31 @@ class TangentProfile:
 
 
 def _hom_dim(C: QuotientRing, mingens, minsyz: dict, v: int, cutoff: int) -> int:
+    """dim T_v: tuples (c_i) in ⊕_i C_{d_i + v} that every minimal syzygy
+    (a_i) up to ``cutoff`` sends to sum a_i c_i = 0, the rows of each
+    relation being its blocks a_i as multiplication matrices on C."""
     ring = C.ring
-    field = ring.field
     degs = [d for d, _ in mingens]
-    widths = [C.dim(d + v) for d in degs]
-    total = sum(widths)
+    total = sum(C.dim(d + v) for d in degs)
     if total == 0:
         return 0
-    offsets = list(accumulate(widths, initial=0))
     rows = []
     for d, syz in minsyz.items():
-        tgt = C.dim(d + v)
-        if d > cutoff or tgt == 0:
+        if d > cutoff or C.dim(d + v) == 0:
             continue
         split = _free_blocks(ring, degs, d)
         for rel in syz:
-            blocks = []
-            for i, (start, w, e) in enumerate(split):
-                if w == 0 or widths[i] == 0:
-                    blocks.append(None)
-                    continue
-                coeffs = rel[start : start + w]
-                if all(c == 0 for c in coeffs):
-                    blocks.append(None)
-                    continue
-                monos = ring.monomials(e)
-                a = Polynomial(ring, {m: c for m, c in zip(monos, coeffs) if c != 0})
-                blocks.append(C.mult_matrix(a, degs[i] + v))
-            if all(b is None for b in blocks):
-                continue
-            for t in range(tgt):
-                row = [field.zero] * total
-                for i, b in enumerate(blocks):
-                    if b is None:
-                        continue
-                    for j in range(widths[i]):
-                        row[offsets[i] + j] = b[t][j]
-                if any(c != 0 for c in row):
+            blocks = [
+                C.combination_matrix(zip(ring.monomials(e), rel[start : start + w]), e, dg + v)
+                for (start, w, e), dg in zip(split, degs)
+            ]
+            for parts in zip(*blocks):
+                row = sum(parts, ())
+                if any(row):
                     rows.append(row)
     if not rows:
         return total
-    return kernel(field, rows, total).dim
+    return kernel(ring.field, rows, total).dim
 
 
 def tangent_dim(ideal: GradedIdeal, v: int, cutoff: int | None = None) -> int:

@@ -328,7 +328,8 @@ class TestSchemaSweep:
 
 
 class TestGoldenBytes:
-    """Exact --json output of the filtered paths in three variables."""
+    """Exact --json output of the filtered paths, the tangent profile, the
+    multilevel profile, linkage and the socle, weighted rings among them."""
 
     GOLDEN = [
         (
@@ -386,6 +387,49 @@ class TestGoldenBytes:
             '"graded_ideal_generators":["z^2","x^2*z","x*y","y*z","x^4 + 100*y^2"],'
             '"level":false,"quotient_hilbert":{"offset":0,"values":[1,2,3,1,1]},'
             '"socle":{"offset":2,"values":[1,0,1]}},'
+            '"ring":{"field":"GF(101)","variables":["x","y","z"],"weights":[1,2,1]}}',
+        ),
+        (
+            ("tangents", "--ring", "GF(101)[x,y,z]",
+             "--inverse", "x^-3*y^-1+2*y^-2*z^-2+x^-1*z^-3+5*y^-4"),
+            '{"provenance":{"bound":6,"bound_limited":false,"seed":null},'
+            '"result":{"dims":[[-3,0],[-2,0],[-1,21],[0,14],[1,7]],'
+            '"generator_degrees":[3,3,3,3,3,3,3],"negative_total":21,"socle_degree":4,'
+            '"tnt":false},'
+            '"ring":{"field":"GF(101)","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
+        (
+            ("tangents", "--ring", "QQ[x,y:2]", "--ideal", "x^3,y^2+x^2*y", "--bound", "9"),
+            '{"provenance":{"bound":9,"bound_limited":false,"seed":null},'
+            '"result":{"dims":[[-4,1],[-3,2],[-2,3],[-1,3],[0,2],[1,1]],'
+            '"generator_degrees":[3,4],"negative_total":9,"socle_degree":4,"tnt":false},'
+            '"ring":{"field":"QQ","variables":["x","y"],"weights":[1,2]}}',
+        ),
+        (
+            ("profile", "--ring", "QQ[x,y,z]", "--inverse", "x^-4+y^-2*z^-2,x^-1*y^-2,z^-2"),
+            '{"provenance":{"bound":null,"bound_limited":false,"seed":null},'
+            '"result":{"rows":[[0,{"offset":0,"values":[1,3,5,4,1]}],'
+            '[1,{"offset":0,"values":[1,3,5,4,1]}],[2,{"offset":0,"values":[1,3,5,4,1]}],'
+            '[3,{"offset":0,"values":[1,3,5,4,1]}],[4,{"offset":0,"values":[1,3,4,3,1]}],'
+            '[5,{"offset":0,"values":[]}]],"socle_degree":4,'
+            '"type_from_profile":{"offset":3,"values":[1,1]}},'
+            '"ring":{"field":"QQ","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
+        (
+            ("linkage", "--ring", "GF(101)[x,y,z]", "--ideal", "x+2*z,y^2+x*y",
+             "--ambient", "x^2,y^3,z^3", "--bound", "7"),
+            '{"provenance":{"bound":7,"bound_limited":false,"seed":null},'
+            '"result":{"double_link_returns_input":true,"generator_degrees":[3],'
+            '"is_cyclic":true,"link_generators":["x^2","x*y*z + 2*x*z^2 + 99*y*z^2","y^3","z^3"],'
+            '"quotient_hilbert":{"offset":0,"values":[1,3,5,4,1]}},'
+            '"ring":{"field":"GF(101)","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
+        (
+            ("socle", "--ring", "GF(101)[x,y:2,z]", "--ideal", "x^3,y^2,z^2,x*y+3*z*x^2",
+             "--bound", "10"),
+            '{"provenance":{"bound":10,"bound_limited":false,"seed":null},'
+            '"result":{"gorenstein":false,"level":true,"socle":{"offset":3,"values":[2]},'
+            '"socle_degree":3},'
             '"ring":{"field":"GF(101)","variables":["x","y","z"],"weights":[1,2,1]}}',
         ),
     ]

@@ -1,0 +1,43 @@
+"""Every function, class and method defined in the package is used somewhere.
+
+A definition counts as used when src/, tests/ or bench/ mention its name as a
+name, as an attribute, or as a word of a string constant other than a
+docstring.  Dunder methods are called by the language and are exempt.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text())
+
+
+def test_every_definition_in_the_package_is_referenced():
+    defined = {}
+    for path, tree in _trees("src/apolar"):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{path.relative_to(ROOT)}:{node.lineno}")
+    used = set()
+    for _, tree in _trees("src", "tests", "bench"):
+        docstrings = {
+            id(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) not in docstrings:
+                    used.update(re.findall(r"\w+", node.value))
+    unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
+    assert not unused, "defined but never referenced: " + ", ".join(unused)

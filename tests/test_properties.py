@@ -15,19 +15,27 @@ from apolar.constructions import (
     monomial_ci_ambient,
     random_dual_element,
     random_dual_generators,
+    shifted_dual_presentation,
     splitmix64,
 )
 from apolar.duality import (
     InverseElement,
+    InverseSystem,
     QuotientRing,
+    _contract_step,
     annihilator_of_submodule,
     apolar_annihilator,
     associated_graded_ideal,
     associated_graded_submodule,
+    catalecticant_matrix,
     contract,
     dual_dim,
+    dual_element_of,
+    dual_minimal_generators,
+    dual_vector_of,
     filtered_dual,
     generated_submodule,
+    hom_into_dual_dims,
 )
 from apolar.invariants import (
     IntSeq,
@@ -37,7 +45,17 @@ from apolar.invariants import (
     socle,
     symmetry_defect,
 )
-from apolar.rings import GF, QQ, GradedRing, Polynomial, Subspace, echelon, kernel, matrix_rank
+from apolar.rings import (
+    GF,
+    QQ,
+    GradedRing,
+    Polynomial,
+    Subspace,
+    echelon,
+    kernel,
+    mat_mul,
+    matrix_rank,
+)
 from apolar.series import TruncatedSeries, dual_series, koszul_series_verdict, wstar_window
 
 F101 = GF(101)
@@ -403,3 +421,152 @@ def test_extra_generators_shift_type_and_wstar_together(ci_ambients):
         assert all(wstar_tilde[p] == wstar[p] for p in range(-a, -3))
         assert wstar_tilde[-3] == wstar[-3] + d
     assert retries <= 10
+
+
+# ---------------------------------------------------------------------------
+# The variable action: every multiplication and contraction matrix read off
+# rings._var_step, against references built from polynomial products and
+# one contraction per monomial.
+
+
+def _reference_mult_matrix(C, f, d):
+    """Multiplication by f from C_d to C_{d+deg f}, one column per basis
+    monomial: the polynomial product, reduced against I."""
+    ring = C.ring
+    e = f.degree()
+    tgt_dim = C.dim(d + e)
+    cols = []
+    for c in C.basis_positions(d):
+        prod = f * Polynomial.monomial(ring, ring.monomials(d)[c])
+        cols.append(C.reduce(d + e, prod.coefficient_vector(d + e)) if tgt_dim else ())
+    return tuple(zip(*cols)) if cols and tgt_dim else tuple(() for _ in range(tgt_dim))
+
+
+def _reference_contraction_matrix(f, p, n):
+    """psi -> psi . f from A_p to the dual's degree-n piece, one contraction
+    per monomial of degree p."""
+    ring = f.ring
+    cols = [
+        contract(Polynomial.monomial(ring, m), f).coefficient_vector(n) for m in ring.monomials(p)
+    ]
+    return tuple(zip(*cols)) if cols else tuple(() for _ in range(dual_dim(ring, f.shifts, n)))
+
+
+def _reference_shifted_pieces(D):
+    """The degreewise dual of the presentation of D by its minimal
+    generators, each relation column a contraction of one generator."""
+    gens = dual_minimal_generators(D)
+    ring, field = D.ring, D.ring.field
+    qs = [-g.degree() for g in gens]
+    shifts = tuple(q - min(qs) for q in qs)
+    pieces = {}
+    for n in range(-min(qs), max(shifts) + 1):
+        cols = [
+            contract(Polynomial.monomial(ring, m), g).coefficient_vector(-min(qs) - n)
+            for q, g in zip(shifts, gens)
+            for m in ring.monomials(q - n)
+        ]
+        if cols:
+            rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
+            pieces[n] = kernel(field, rows, len(cols)).perp()
+    return InverseSystem(ring, pieces, shifts)
+
+
+def _dense_form(ring, d, stream):
+    """A degree-d form with every coefficient nonzero."""
+    return Polynomial.from_vector(
+        ring, d, [ring.field.of(1 + next(stream) % 100) for _ in range(ring.dim(d))]
+    )
+
+
+ACTION_RINGS = (
+    GradedRing.standard(F101, 2),
+    GradedRing.standard(F101, 3),
+    GradedRing(("x", "y"), (1, 2), F101),
+    GradedRing.standard(QQ, 2),
+    GradedRing(("x", "y"), (1, 2), QQ),
+)
+ACTION_TYPES = ({3: 1}, {4: 1}, {2: 1, 3: 1}, {3: 2}, {2: 1, 3: 1, 4: 1})
+
+
+@pytest.mark.parametrize("ring", ACTION_RINGS, ids=repr)
+def test_variable_action_matches_polynomial_references(ring):
+    """Catalecticants, annihilators, shifted duals, dual contraction steps,
+    Hom into the dual, and multiplication on C = A/I, against references;
+    M_fg = M_f M_g on C.  Types with 2-3 generators give shifted duals with
+    2-3 components."""
+    field = ring.field
+    presentations = 0
+    for k, t in enumerate(ACTION_TYPES):
+        stream = splitmix64(8000 + 10 * k + len(ring.var_names))
+        D = generated_submodule(random_dual_generators(ring, t, 8100 + k))
+        ideal = annihilator_of_submodule(D, bound=D.socle_degree() + 1 + max(ring.weights))
+        for p in range(ideal.bound):
+            rows = []
+            for n in D.support():
+                for f in D.elements(n):
+                    ref = _reference_contraction_matrix(f, p, n + p)
+                    if -n >= p:
+                        assert catalecticant_matrix(f, n + p) == ref
+                    rows.extend(ref)
+            expected = kernel(field, rows, ring.dim(p)) if rows else Subspace.full(field, ring.dim(p))
+            assert ideal.piece(p) == expected
+        for p in range(-D.socle_degree(), 1):
+            assert hom_into_dual_dims(ideal, p) == D.piece(p).dim
+
+        E = shifted_dual_presentation(D).presentation
+        assert E == _reference_shifted_pieces(D)
+        presentations += len(E.shifts) > 1
+        for n, piece in E.pieces.items():
+            for row in piece.rows:
+                elem = InverseElement.from_vector(ring, n, row, E.shifts)
+                for i, w in enumerate(ring.weights):
+                    moved = contract(ring.variable(i), elem).coefficient_vector(n + w)
+                    assert _contract_step(ring, E.shifts, n, i, row) == moved
+
+        C = QuotientRing(ideal)
+        top = C.top_degree()
+        for e in (1, 2):
+            f = _dense_form(ring, e, stream)
+            for d in range(top + 1 - e):
+                assert C.mult_matrix(f, d) == _reference_mult_matrix(C, f, d)
+                for m in ring.monomials(e):
+                    ref = _reference_mult_matrix(C, Polynomial.monomial(ring, m), d)
+                    assert C.monomial_matrix(m, d) == ref
+        f, g = _dense_form(ring, 2, stream), _dense_form(ring, 1, stream)
+        for d in range(top - 2):
+            if C.dim(d) and C.dim(d + 1) and C.dim(d + 3):
+                product = mat_mul(field, C.mult_matrix(f, d + 1), C.mult_matrix(g, d))
+                assert C.mult_matrix(f * g, d) == product
+    assert presentations >= 2
+
+
+@pytest.mark.parametrize("ring", ACTION_RINGS, ids=repr)
+def test_filtered_variable_action_matches_contraction_references(ring):
+    """filtered_dual against one contraction per monomial, and the truncated
+    algebra's variable multiplication and contraction against polynomial
+    products and contractions."""
+    for k in range(4):
+        stream = splitmix64(8500 + k)
+        top = 3 + k % 2
+        F = random_dual_element(ring, top, stream) + random_dual_element(ring, top - 2, stream)
+        D, I = filtered_dual(F)
+        alg = I.algebra
+        field = ring.field
+        columns = [
+            dual_vector_of(alg, contract(Polynomial.monomial(ring, m), F))
+            for d in range(alg.bound)
+            for m in ring.monomials(d)
+        ]
+        assert I.space == kernel(field, list(zip(*columns)), alg.total_dim)
+        assert D.space == echelon(field, columns, alg.total_dim)
+        for i in range(ring.nvars):
+            for row in I.space.rows:
+                prod = ring.variable(i) * alg.polynomial_of(row)
+                kept = Polynomial(
+                    ring, {m: c for m, c in prod.terms.items() if ring.wdeg(m) < alg.bound}
+                )
+                assert alg.multiply_by_var(i, row) == alg.vector_of(kept)
+            for row in D.space.rows:
+                moved = contract(ring.variable(i), dual_element_of(alg, row))
+                assert alg.contract_by_var(i, row) == dual_vector_of(alg, moved)
