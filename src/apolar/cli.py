@@ -62,7 +62,7 @@ from .parsing import (
     parse_ring_spec,
     parse_socle_type,
 )
-from .rings import QQ, BoundExceededError, MathDomainError
+from .rings import QQ, MathDomainError
 from .series import TruncatedSeries, dual_series, froeberg_expected, koszul_series_verdict, wstar_window
 from .tangents import elementary_report, hom_dims, minimal_generators
 
@@ -653,7 +653,7 @@ def main(argv=None) -> int:
     except DomainNote as err:
         _emit_error(out, json_mode, EXIT_MATH, str(err), **err.extras)
         return EXIT_MATH
-    except (MathDomainError, BoundExceededError) as err:
+    except MathDomainError as err:
         _emit_error(out, json_mode, EXIT_MATH, str(err))
         return EXIT_MATH
     _emit(out, json_mode, spec, result, args.seed, bound, limited)

@@ -35,7 +35,7 @@ from .rings import (
     GradedRing,
     MathDomainError,
     Polynomial,
-    kernel,
+    echelon,
     matrix_rank,
 )
 from .series import dual_series, wstar_window
@@ -104,14 +104,19 @@ def _fpow(field: Field, a, e: int):
     return out
 
 
+def _fpow_prod(field: Field, point, m):
+    """The value of the monomial m at the point."""
+    c = field.one
+    for aj, ej in zip(point, m):
+        c = field.mul(c, _fpow(field, aj, ej))
+    return c
+
+
 def _evaluate(f: Polynomial, point):
     field = f.ring.field
     total = field.zero
     for m, c in f.terms.items():
-        term = c
-        for aj, ej in zip(point, m):
-            term = field.mul(term, _fpow(field, aj, ej))
-        total = field.add(total, term)
+        total = field.add(total, field.mul(c, _fpow_prod(field, point, m)))
     return total
 
 
@@ -172,9 +177,7 @@ def power_sum(ring: GradedRing, point, p: int) -> InverseElement:
     field = ring.field
     terms = {}
     for m in ring.monomials(p):
-        c = field.one
-        for aj, ej in zip(point, m):
-            c = field.mul(c, _fpow(field, aj, ej))
+        c = _fpow_prod(field, point, m)
         if not field.is_zero(c):
             terms[m] = c
     return InverseElement(ring, terms)
@@ -282,13 +285,6 @@ def power_sum_system(ring: GradedRing, points, scalars, a: int, s: int, g=None) 
         min_pattern_ok=min_pattern_ok,
         iset_ok=iset_ok,
     )
-
-
-def _fpow_prod(field: Field, point, m):
-    c = field.one
-    for aj, ej in zip(point, m):
-        c = field.mul(c, _fpow(field, aj, ej))
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +693,7 @@ def shifted_dual_presentation(D: InverseSystem) -> ShiftedDualReport:
     as a quotient of ⊕_j A(q_j - s), one summand per minimal generator, and
     dualize the presentation degreewise: the piece at each degree is the
     orthogonal complement of the relations among the contracted generators,
-    the kernel of the generators' catalecticants side by side.
+    which is the row space of the generators' catalecticants side by side.
     """
     if D.shifts != (0,):
         raise MathDomainError("expected a dual submodule of a rank-one ambient")
@@ -715,8 +711,7 @@ def shifted_dual_presentation(D: InverseSystem) -> ShiftedDualReport:
         if total == 0:
             continue
         mats = [catalecticant_matrix(g, -q_min - n_sh) for g in gens]
-        rows = [sum(parts, ()) for parts in zip(*mats)]
-        pieces[n_sh] = kernel(field, rows, total).perp()
+        pieces[n_sh] = echelon(field, [sum(parts, ()) for parts in zip(*mats)], total)
     E = InverseSystem(ring, pieces, shifts)
     st = generator_type(E)
     return ShiftedDualReport(

@@ -7,7 +7,10 @@ L * (1/M) = 1/(M/L) when L divides M and 0 otherwise.  An ideal I with
 Artinian quotient and a finitely generated submodule D of the dual
 determine each other as mutual annihilators; this module computes both
 directions, their filtered (non-homogeneous) versions, and the associated
-graded of each side.
+graded of each side.  Both annihilators are degreewise perps: for D closed
+under contraction, I_p = (D_{-p})^perp and D_{-p} = (I_p)^perp under the
+pairing of M with 1/M, and in a truncation the filtered ideal of a cyclic
+F is the perp of the span of its contractions.
 
 Free-module duals are supported through shift vectors: the dual of
 B = A(q_1) + ... + A(q_t) has degree-n basis {(j, 1/M) : wdeg M = q_j - n},
@@ -524,30 +527,17 @@ def apolar_annihilator(ideal: GradedIdeal) -> InverseSystem:
 def annihilator_of_submodule(D: InverseSystem, bound: int | None = None) -> GradedIdeal:
     """The ideal (0 : D) of everything annihilating a graded dual submodule.
 
-    Degreewise a stacked kernel: psi of degree p must contract every basis
-    element f of every piece D_n to zero, and the matrix of psi -> psi . f
-    is the catalecticant of f at n + p.
+    D must be contraction-closed, as every InverseSystem is meant to be.
+    Then psi of degree p kills all of D exactly when it kills D_{-p}, since
+    the coefficient of 1/M in psi . f is the pairing of psi with M . f, which
+    lies in D_{-p}: so I_p is the perp of D_{-p}.
     """
     if len(D.shifts) != 1:
         raise MathDomainError("annihilator ideals are computed in rank one")
-    ring = D.ring
-    field = ring.field
-    supp = D.support()
     if bound is None:
+        supp = D.support()
         bound = (-min(supp) if supp else 0) + 2
-    elements = {n: D.elements(n) for n in supp}
-    pieces = {}
-    for p in range(bound):
-        ncols = ring.dim(p)
-        rows = [
-            row
-            for n in supp
-            if -n >= p
-            for f in elements[n]
-            for row in catalecticant_matrix(f, n + p)
-        ]
-        pieces[p] = kernel(field, rows, ncols) if rows else Subspace.full(field, ncols)
-    return GradedIdeal(ring, bound, pieces)
+    return GradedIdeal(D.ring, bound, {p: D.piece(-p).perp() for p in range(bound)})
 
 
 # ---------------------------------------------------------------------------
@@ -567,16 +557,15 @@ class FilteredIdeal:
 
     @classmethod
     def from_generators(cls, algebra: TruncatedAlgebra, gens) -> "FilteredIdeal":
-        rows = [algebra.vector_of(g) for g in gens if not g.is_zero()]
-        space = echelon(algebra.ring.field, rows, algebra.total_dim)
-        while True:
-            new_rows = list(space.rows)
-            for i in range(algebra.ring.nvars):
-                new_rows.extend(algebra.multiply_by_var(i, r) for r in space.rows)
-            grown = echelon(algebra.ring.field, new_rows, algebra.total_dim)
-            if grown.dim == space.dim:
-                return cls(algebra, grown, gens=gens)
-            space = grown
+        """The ideal of the truncation generated by ``gens``: the span of every
+        monomial multiple of every generator."""
+        rows = [
+            row
+            for g in gens
+            if not g.is_zero()
+            for row in _monomial_orbit(algebra, algebra.vector_of(g), algebra.multiply_by_var)
+        ]
+        return cls(algebra, echelon(algebra.ring.field, rows, algebra.total_dim), gens=gens)
 
     def quotient_total_dim(self) -> int:
         return self.algebra.total_dim - self.space.dim
@@ -665,34 +654,39 @@ def dual_element_of(algebra: TruncatedAlgebra, vec) -> InverseElement:
     return InverseElement(ring, terms)
 
 
+def _monomial_orbit(algebra: TruncatedAlgebra, vec, act) -> list:
+    """The images of a total-space vector under every monomial L of the
+    truncation, degree-major in monomial order.  ``act(i, v)`` applies X_i;
+    the image under L is ``act(i, .)`` of the image under L / X_i one weight
+    below, for the first X_i whose ``_var_step`` reaches L."""
+    weights = algebra.ring.weights
+    orbit = [[vec]]
+    for d in range(1, algebra.bound):
+        got = [None] * algebra.dims[d]
+        for i, w in enumerate(weights):
+            for j, t in enumerate(_var_step(weights, i, d - w)):
+                if got[t] is None:
+                    got[t] = act(i, orbit[d - w][j])
+        orbit.append(got)
+    return [v for block in orbit for v in block]
+
+
 def filtered_dual(F: InverseElement, bound: int | None = None):
     """The cyclic filtered dual module A.F and its annihilator ideal.
 
-    Returns (D, I) where D spans all contractions of F in the truncated
-    dual and I = {psi : psi . F = 0} inside the truncated algebra.
+    Returns (D, I) where D spans all contractions L . F in the truncated
+    dual and I = {psi : psi . F = 0} inside the truncated algebra.  The
+    coefficient of 1/M in psi . F is the pairing of psi with M . F, so I is
+    the perp of D.
     """
     if F.is_zero():
         raise MathDomainError("zero dual generator")
     if bound is None:
         bound = max(-n for n in F.support_degrees()) + 2
-    ring = F.ring
-    field = ring.field
-    algebra = truncate_algebra(ring, bound)
-    # moved[d][j] = L . F for the j-th monomial L of degree d, contracted by
-    # X_i from (L / X_i) . F one weight below
-    moved = [[dual_vector_of(algebra, F)]]
-    for d in range(1, bound):
-        got = [None] * ring.dim(d)
-        for i, w in enumerate(ring.weights):
-            for j, t in enumerate(_var_step(ring.weights, i, d - w)):
-                if got[t] is None:
-                    got[t] = algebra.contract_by_var(i, moved[d - w][j])
-        moved.append(got)
-    # columns of psi -> psi.F, indexed by the monomial basis of the algebra
-    columns = [vec for block in moved for vec in block]
-    ideal_space = kernel(field, list(zip(*columns)), algebra.total_dim)
-    D = FilteredDual(algebra, echelon(field, columns, algebra.total_dim), gens=[F])
-    return D, FilteredIdeal(algebra, ideal_space, gens=None)
+    algebra = truncate_algebra(F.ring, bound)
+    moved = _monomial_orbit(algebra, dual_vector_of(algebra, F), algebra.contract_by_var)
+    space = echelon(F.ring.field, moved, algebra.total_dim)
+    return FilteredDual(algebra, space, gens=[F]), FilteredIdeal(algebra, space.perp())
 
 
 def _initial_form_pieces(field, widths, rows, pivots) -> list:

@@ -322,22 +322,24 @@ def linkage(ambient: GradedIdeal, ideal: GradedIdeal) -> LinkageReport:
         rows = [Q.reduce(d, r) for r in ideal.piece(d).rows]
         image[d] = echelon(field, rows, Q.dim(d))
 
-    # link degreewise: v with v * image = 0 in the quotient
+    # link degreewise: v with v * image = 0 in the quotient.  In the
+    # Gorenstein quotient a product in degree d + e vanishes exactly when it
+    # pairs to zero with everything of degree top - d - e, and the image is
+    # an ideal, so v * image = 0 exactly when v * image_{top - d} = 0.
     link_q = {}
     for d in range(bound):
         n = Q.dim(d)
         if n == 0:
             link_q[d] = Subspace.zero(field, 0)
             continue
-        rows = []
-        for e in range(0, top - d + 1):
-            src = image.get(e)
-            if src is None or not src.dim:
-                continue
-            monos = [ring.monomials(e)[pos] for pos in Q.basis_positions(e)]
-            for urow in src.rows:
-                rows.extend(Q.combination_matrix(zip(monos, urow), e, d))
-        link_q[d] = kernel(field, rows, n) if rows else Subspace.full(field, n)
+        e = top - d
+        monos = [ring.monomials(e)[pos] for pos in Q.basis_positions(e)]
+        rows = [
+            row
+            for urow in image[e].rows
+            for row in Q.combination_matrix(zip(monos, urow), e, d)
+        ]
+        link_q[d] = kernel(field, rows, n)
 
     # lift back to an ideal of R containing J
     pieces = {}

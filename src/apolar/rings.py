@@ -517,12 +517,9 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         return Subspace(self.field, self.ncols, self.rows + other.rows)
 
-    def perp(self, gram=None) -> "Subspace":
-        """Vectors orthogonal to this space; ``gram`` defaults to the identity."""
-        rows = self.rows
-        if gram is not None:
-            rows = mat_mul(self.field, rows, gram)
-        return kernel(self.field, rows, self.ncols)
+    def perp(self) -> "Subspace":
+        """Vectors orthogonal to this space under the standard pairing."""
+        return kernel(self.field, self.rows, self.ncols)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if other.ncols != self.ncols:
@@ -566,6 +563,8 @@ def complete_span(covered: Subspace, candidates) -> list:
 def kernel(field: Field, matrix, ncols: int) -> Subspace:
     """Kernel of the linear map k^ncols -> k^m given by an m x ncols matrix."""
     rows, piv = rref(field, matrix, ncols)
+    if not piv:
+        return Subspace.full(field, ncols)
     pset = set(piv)
     basis = []
     for free in range(ncols):

@@ -432,6 +432,30 @@ class TestGoldenBytes:
             '"socle_degree":3},'
             '"ring":{"field":"GF(101)","variables":["x","y","z"],"weights":[1,2,1]}}',
         ),
+        (
+            ("annihilate", "--ring", "QQ[x,y,z]", "--inverse", "x^-3*y^-1+z^-4,x^-1*y^-2"),
+            '{"provenance":{"bound":6,"bound_limited":false,"seed":null},'
+            '"result":{"generator_degrees":[2,2,3,4,4,4],'
+            '"generators":["x*z","y*z","y^3","x^4","x^3*y - z^4","x^2*y^2"],'
+            '"hilbert":{"offset":0,"values":[1,3,4,4,1]}},'
+            '"ring":{"field":"QQ","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
+        (
+            ("annihilate", "--ring", "QQ[x,y:2]", "--inverse", "x^-3+x^-1*y^-1", "--bound", "6"),
+            '{"provenance":{"bound":6,"bound_limited":false,"seed":null},'
+            '"result":{"generator_degrees":[2,4],"generators":["x^2 - y","x^4"],'
+            '"hilbert":{"offset":0,"values":[1,1,1,1]}},'
+            '"ring":{"field":"QQ","variables":["x","y"],"weights":[1,2]}}',
+        ),
+        (
+            ("tangents", "--ring", "GF(101)[x,y:2,z]", "--inverse", "x^-4+y^-2+z^-4",
+             "--bound", "8"),
+            '{"provenance":{"bound":8,"bound_limited":false,"seed":null},'
+            '"result":{"dims":[[-4,0],[-3,2],[-2,5],[-1,8],[0,7],[1,4],[2,1]],'
+            '"generator_degrees":[2,3,3,4,4],"negative_total":15,"socle_degree":4,'
+            '"tnt":false},'
+            '"ring":{"field":"GF(101)","variables":["x","y","z"],"weights":[1,2,1]}}',
+        ),
     ]
 
     @pytest.mark.parametrize("argv, expected", GOLDEN, ids=[" ".join(a[:4]) for a, _ in GOLDEN])

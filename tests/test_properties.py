@@ -19,6 +19,7 @@ from apolar.constructions import (
     splitmix64,
 )
 from apolar.duality import (
+    GradedIdeal,
     InverseElement,
     InverseSystem,
     QuotientRing,
@@ -42,6 +43,7 @@ from apolar.invariants import (
     generator_type,
     hilbert_function,
     is_level,
+    linkage,
     socle,
     symmetry_defect,
 )
@@ -570,3 +572,87 @@ def test_filtered_variable_action_matches_contraction_references(ring):
             for row in D.space.rows:
                 moved = contract(ring.variable(i), dual_element_of(alg, row))
                 assert alg.contract_by_var(i, row) == dual_vector_of(alg, moved)
+
+
+# ---------------------------------------------------------------------------
+# Linkage reads the link off the pairing into the socle degree alone; the
+# reference asks v * image_e = 0 in every degree e, as Gorenstein duality
+# does not need to.
+
+
+def _reference_link(ambient, ideal, exponents):
+    """(J : I) with v in C_d kept when v * image_e = 0 in C for every e in
+    ``exponents(d, top)``, lifted back to an ideal of R containing J."""
+    C = QuotientRing(ambient)
+    ring, field = ambient.ring, ambient.ring.field
+    top = C.top_degree()
+    pieces = {}
+    for d in range(ambient.bound):
+        rows = []
+        for e in exponents(d, top):
+            image = echelon(field, [C.reduce(e, r) for r in ideal.piece(e).rows], C.dim(e))
+            monos = [ring.monomials(e)[pos] for pos in C.basis_positions(e)]
+            for urow in image.rows:
+                rows.extend(C.combination_matrix(zip(monos, urow), e, d))
+        n = C.dim(d)
+        kept = kernel(field, rows, n) if rows else Subspace.full(field, n)
+        lifted = list(ambient.piece(d).rows)
+        for v in kept.rows:
+            amb = [field.zero] * ring.dim(d)
+            for c, pos in zip(v, C.basis_positions(d)):
+                amb[pos] = c
+            lifted.append(tuple(amb))
+        pieces[d] = echelon(field, lifted, ring.dim(d))
+    return GradedIdeal(ring, ambient.bound, pieces)
+
+
+def _every_degree(d, top):
+    return range(0, top - d + 1)
+
+
+def _one_below_socle(d, top):
+    return (top - d - 1,) if d < top else ()
+
+
+LINK_RINGS = (
+    (GradedRing.standard(QQ, 3), (3, 4)),
+    (GradedRing.standard(F101, 3), (3, 4, 5)),
+    (GradedRing(("x", "y"), (1, 2), F101), (4, 5, 6)),
+)
+
+
+@pytest.fixture(scope="module")
+def link_draws():
+    """Seeded Gorenstein ambients A = R/(0 : F), F a random form of socle
+    degree s, with ideals of one or two dense forms of degrees 1-3, and the
+    link of each and of its link."""
+    out = []
+    for k, (ring, socle_degrees) in enumerate(LINK_RINGS):
+        for j in range(8):
+            s = socle_degrees[j % len(socle_degrees)]
+            stream = splitmix64(9000 + 10 * k + j)
+            D = generated_submodule([random_dual_element(ring, s, stream)])
+            ambient = annihilator_of_submodule(D, bound=s + 1 + max(ring.weights))
+            degs = [1 + j % 3] + ([1 + (j + 1) % 3] if j % 2 else [])
+            forms = [_dense_form(ring, e, stream) for e in degs if ring.dim(e)]
+            ideal = GradedIdeal.from_generators(ring, forms, ambient.bound)
+            link = linkage(ambient, ideal).link
+            out.append((ambient, ideal, link, linkage(ambient, link).link))
+    return out
+
+
+def test_linkage_matches_every_degree_reference(link_draws):
+    for ambient, ideal, link, double in link_draws:
+        assert link == _reference_link(ambient, ideal, _every_degree)
+        assert double == _reference_link(ambient, link, _every_degree)
+
+
+def test_link_reference_rejects_a_pairing_one_degree_short(link_draws):
+    """The oracle discriminates: keeping only e = top - d - 1 gives another
+    answer on some draw of every ring."""
+    for ring, _ in LINK_RINGS:
+        assert any(
+            link != _reference_link(ambient, ideal, _one_below_socle)
+            for ambient, ideal, link, _ in link_draws
+            if ambient.ring == ring
+        )
