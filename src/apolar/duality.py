@@ -37,11 +37,12 @@ from .rings import (
     Subspace,
     TruncatedAlgebra,
     _monomials_by_degree,
+    _sub_multiple,
     _var_step,
     complete_span,
     echelon,
-    kernel,
     mat_mul,
+    matrix_rank,
     rref,
     truncate_algebra,
 )
@@ -530,13 +531,16 @@ def annihilator_of_submodule(D: InverseSystem, bound: int | None = None) -> Grad
     D must be contraction-closed, as every InverseSystem is meant to be.
     Then psi of degree p kills all of D exactly when it kills D_{-p}, since
     the coefficient of 1/M in psi . f is the pairing of psi with M . f, which
-    lies in D_{-p}: so I_p is the perp of D_{-p}.
+    lies in D_{-p}: so I_p is the perp of D_{-p}.  The default bound is the
+    socle degree s plus 1 plus the largest weight, the least that certifies
+    an Artinian quotient: I_d = A_d for d > s, and the full tail must be one
+    weight-span long.
     """
     if len(D.shifts) != 1:
         raise MathDomainError("annihilator ideals are computed in rank one")
     if bound is None:
         supp = D.support()
-        bound = (-min(supp) if supp else 0) + 2
+        bound = (-min(supp) if supp else 0) + 1 + max(D.ring.weights)
     return GradedIdeal(D.ring, bound, {p: D.piece(-p).perp() for p in range(bound)})
 
 
@@ -810,15 +814,12 @@ class QuotientRing:
     def combination_matrix(self, terms, e: int, d: int):
         """Matrix from C_d to C_{d+e} of multiplication by the sum of c * x^m
         over ``terms``, pairs (m, c) with m of degree e."""
-        field = self.ring.field
-        out = [list(row) for row in self._zero(d, e)]
+        p, out = self.ring.field.p, self._zero(d, e)
         if out and out[0]:
             for m, c in terms:
                 if c != 0:
-                    for row, mrow in zip(out, self.monomial_matrix(m, d)):
-                        for j, x in enumerate(mrow):
-                            if x != 0:
-                                row[j] = field.add(row[j], field.mul(c, x))
+                    mat = self.monomial_matrix(m, d)
+                    out = [_sub_multiple(p, row, -c, mrow) for row, mrow in zip(out, mat)]
         return tuple(tuple(row) for row in out)
 
     def mult_matrix(self, f: Polynomial, d: int):
@@ -880,9 +881,7 @@ def hom_into_dual_dims(ideal: GradedIdeal, p: int) -> int:
                     # minus x_i . phi(c_a) side
                     row[offsets[d] + a * dual_d(d + p) + step[t]] = field.neg(field.one)
                     rows.append(row)
-    if not rows:
-        return total
-    return kernel(field, rows, total).dim
+    return total - matrix_rank(field, rows, total) if rows else total
 
 
 def dual_minimal_generators(D: InverseSystem):

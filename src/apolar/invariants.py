@@ -20,7 +20,7 @@ from .duality import (
     apolar_annihilator,
     dual_minimal_generators,
 )
-from .rings import MathDomainError, Subspace, echelon, kernel
+from .rings import MathDomainError, Subspace, echelon, kernel, matrix_rank
 
 
 class IntSeq:
@@ -165,7 +165,7 @@ def socle(obj) -> IntSeq:
         rows = []
         for i in range(Q.ring.nvars):
             rows.extend(Q.var_matrix(i, d))
-        items[d] = kernel(field, rows, n).dim if rows else n
+        items[d] = n - matrix_rank(field, rows, n) if rows else n
     return IntSeq.from_items(items)
 
 

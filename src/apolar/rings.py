@@ -19,6 +19,14 @@ Coefficients live in an exact field: the rationals (``fractions.Fraction``)
 or a prime field GF(p) (plain ints reduced mod p).  Subspaces of a graded
 piece are stored in reduced row-echelon form, so two subspaces are equal
 exactly when their stored matrices are identical.
+
+A kernel costs one elimination: in the echelon form of the matrix with its
+columns reversed, the free-column basis (a 1 at each non-pivot column f and
+minus each row's entry in column f at that row's pivot), read back in the
+forward order, is already the kernel's canonical echelon form.  A perp is
+taken from the smaller side: the kernel of the space's own rows when its
+dimension is at most half the ambient one, else one ``rref`` of the
+free-column basis of its own echelon form.
 """
 
 from __future__ import annotations
@@ -71,8 +79,8 @@ class Field:
     """The rationals (``p is None``) or the prime field GF(p).
 
     Elements are ``Fraction`` instances over the rationals and plain ints in
-    ``range(p)`` over GF(p).  All arithmetic is routed through the field
-    object, so callers never branch on the coefficient domain.
+    ``range(p)`` over GF(p).  Arithmetic goes through the field object and
+    row updates through ``_sub_multiple``: callers never branch on the field.
     """
 
     __slots__ = ("p",)
@@ -421,48 +429,33 @@ class Polynomial:
 # Exact matrices and canonical subspaces.  Matrices are tuples/lists of rows.
 
 
+def _sub_multiple(p, row, f, prow) -> list:
+    """row - f * prow, reduced mod p over GF(p) (``p`` is None over QQ)."""
+    if p is None:
+        return [x - f * y for x, y in zip(row, prow)]
+    return [(x - f * y) % p for x, y in zip(row, prow)]
+
+
 def rref(field: Field, rows, ncols: int):
     """Reduced row echelon form.  Returns (rows, pivot_columns) as tuples."""
     p = field.p
     mat = [list(r) for r in rows if any(x != 0 for x in r)]
     pivots = []
-    row = 0
-    if p is not None:
-        for col in range(ncols):
-            sel = next((i for i in range(row, len(mat)) if mat[i][col] % p), None)
-            if sel is None:
-                continue
-            mat[row], mat[sel] = mat[sel], mat[row]
-            inv = pow(mat[row][col], -1, p)
-            mat[row] = [x * inv % p for x in mat[row]]
-            prow = mat[row]
-            for i in range(len(mat)):
-                f = mat[i][col]
-                if i != row and f:
-                    mat[i] = [(x - f * y) % p for x, y in zip(mat[i], prow)]
-            pivots.append(col)
-            row += 1
-            if row == len(mat):
-                break
-    else:
-        for col in range(ncols):
-            sel = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
-            if sel is None:
-                continue
-            mat[row], mat[sel] = mat[sel], mat[row]
-            inv = 1 / Fraction(mat[row][col])
-            mat[row] = [x * inv for x in mat[row]]
-            prow = mat[row]
-            for i in range(len(mat)):
-                f = mat[i][col]
-                if i != row and f:
-                    mat[i] = [x - f * y for x, y in zip(mat[i], prow)]
-            pivots.append(col)
-            row += 1
-            if row == len(mat):
-                break
-    mat = [r for r in mat if any(x != 0 for x in r)]
-    return tuple(tuple(r) for r in mat), tuple(pivots)
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
+        sel = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        # scale the pivot to 1: inv * row = 0 - (-inv) * row
+        prow = mat[rank] = _sub_multiple(p, [0] * ncols, -field.inv(mat[rank][col]), mat[rank])
+        for i, row in enumerate(mat):
+            if i != rank and row[col] != 0:
+                mat[i] = _sub_multiple(p, row, row[col], prow)
+        pivots.append(col)
+    return tuple(tuple(r) for r in mat[: len(pivots)]), tuple(pivots)
 
 
 class Subspace:
@@ -496,13 +489,10 @@ class Subspace:
 
     def reduce(self, vec):
         """Subtract the projection onto this subspace's pivot structure."""
-        field = self.field
         v = list(vec)
         for row, pc in zip(self.rows, self.pivots):
-            f = v[pc]
-            if not field.is_zero(f):
-                nf = field.neg(f)
-                v = [field.add(x, field.mul(nf, y)) for x, y in zip(v, row)]
+            if v[pc] != 0:
+                v = _sub_multiple(self.field.p, v, v[pc], row)
         return tuple(v)
 
     def contains(self, vec) -> bool:
@@ -518,8 +508,12 @@ class Subspace:
         return Subspace(self.field, self.ncols, self.rows + other.rows)
 
     def perp(self) -> "Subspace":
-        """Vectors orthogonal to this space under the standard pairing."""
-        return kernel(self.field, self.rows, self.ncols)
+        """Vectors orthogonal to this space under the standard pairing, from
+        one elimination of the smaller side (see the module docstring)."""
+        field, n = self.field, self.ncols
+        if 2 * self.dim <= n:
+            return kernel(field, self.rows, n)
+        return Subspace(field, n, _free_basis(field, self.rows, self.pivots, n))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if other.ncols != self.ncols:
@@ -560,22 +554,29 @@ def complete_span(covered: Subspace, candidates) -> list:
     return accepted
 
 
-def kernel(field: Field, matrix, ncols: int) -> Subspace:
-    """Kernel of the linear map k^ncols -> k^m given by an m x ncols matrix."""
-    rows, piv = rref(field, matrix, ncols)
-    if not piv:
-        return Subspace.full(field, ncols)
-    pset = set(piv)
+def _free_basis(field: Field, rows, pivots, ncols: int) -> list:
+    """Kernel of a reduced echelon form: per non-pivot column f, a 1 at f and
+    minus each row's entry in column f at that row's pivot."""
+    pset = set(pivots)
     basis = []
     for free in range(ncols):
-        if free in pset:
-            continue
-        v = [field.zero] * ncols
-        v[free] = field.one
-        for k, pc in enumerate(piv):
-            v[pc] = field.neg(rows[k][free])
-        basis.append(v)
-    return Subspace(field, ncols, basis)
+        if free not in pset:
+            v = [field.zero] * ncols
+            v[free] = field.one
+            for row, pc in zip(rows, pivots):
+                v[pc] = field.neg(row[free])
+            basis.append(v)
+    return basis
+
+
+def kernel(field: Field, matrix, ncols: int) -> Subspace:
+    """Kernel of the linear map k^ncols -> k^m given by an m x ncols matrix,
+    from one ``rref`` of its columns reversed (see the module docstring)."""
+    rows, piv = rref(field, [r[::-1] for r in matrix], ncols)
+    basis = tuple(tuple(v[::-1]) for v in reversed(_free_basis(field, rows, piv, ncols)))
+    mirrored = {ncols - 1 - c for c in piv}
+    pivots = tuple(c for c in range(ncols) if c not in mirrored)
+    return Subspace(field, ncols, _canonical=(basis, pivots))
 
 
 def mat_mul(field: Field, a, b):

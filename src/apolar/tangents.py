@@ -32,6 +32,7 @@ from .rings import (
     Subspace,
     complete_span,
     kernel,
+    matrix_rank,
     mult_matrix,
 )
 
@@ -187,9 +188,7 @@ def _hom_dim(C: QuotientRing, mingens, minsyz: dict, v: int, cutoff: int) -> int
                 row = sum(parts, ())
                 if any(row):
                     rows.append(row)
-    if not rows:
-        return total
-    return kernel(ring.field, rows, total).dim
+    return total - matrix_rank(ring.field, rows, total) if rows else total
 
 
 def tangent_dim(ideal: GradedIdeal, v: int, cutoff: int | None = None) -> int:

@@ -456,6 +456,41 @@ class TestGoldenBytes:
             '"tnt":false},'
             '"ring":{"field":"GF(101)","variables":["x","y","z"],"weights":[1,2,1]}}',
         ),
+        (
+            ("socle", "--ring", "QQ[x,y,z]", "--ideal", "x^2-y*z,y^2-x*z,z^2-x*y,x*y*z",
+             "--bound", "6"),
+            '{"provenance":{"bound":6,"bound_limited":false,"seed":null},'
+            '"result":{"gorenstein":false,"level":true,"socle":{"offset":3,"values":[2]},'
+            '"socle_degree":3},'
+            '"ring":{"field":"QQ","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
+        (
+            ("tangents", "--ring", "QQ[x,y,z]",
+             "--inverse", "x^-3*y^-1-2*y^-2*z^-2+x^-1*z^-3+3*y^-4"),
+            '{"provenance":{"bound":6,"bound_limited":false,"seed":null},'
+            '"result":{"dims":[[-3,0],[-2,0],[-1,21],[0,14],[1,7]],'
+            '"generator_degrees":[3,3,3,3,3,3,3],"negative_total":21,"socle_degree":4,'
+            '"tnt":false},'
+            '"ring":{"field":"QQ","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
+        (
+            ("linkage", "--ring", "QQ[x,y]", "--ideal", "x-2*y,y^3", "--ambient", "x^3,y^4",
+             "--bound", "8"),
+            '{"provenance":{"bound":8,"bound_limited":false,"seed":null},'
+            '"result":{"double_link_returns_input":true,"generator_degrees":[3],'
+            '"is_cyclic":true,"link_generators":["x^3","x^2*y + 2*x*y^2 + 4*y^3"],'
+            '"quotient_hilbert":{"offset":0,"values":[1,2,3,2,1]}},'
+            '"ring":{"field":"QQ","variables":["x","y"],"weights":[1,1]}}',
+        ),
+        (
+            ("annihilate", "--ring", "QQ[x,y,z]", "--ideal", "x^2-y*z,y^3,z^3,x*y^2",
+             "--bound", "7"),
+            '{"provenance":{"bound":7,"bound_limited":false,"seed":null},'
+            '"result":{"generator_degrees":[-4,-4],'
+            '"generators":["y^-2*z^-2 + x^-2*y^-1*z^-1 + x^-4","x^-1*y^-1*z^-2 + x^-3*z^-1"],'
+            '"hilbert":{"offset":0,"values":[1,3,5,4,2]}},'
+            '"ring":{"field":"QQ","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
     ]
 
     @staticmethod
@@ -473,6 +508,21 @@ class TestGoldenBytes:
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         assert out == expected + "\n"
+
+    def test_weighted_default_bound_certifies_the_quotient(self, capsys):
+        """Graded dual generators default to the socle degree + 1 + the
+        largest weight, which certifies an Artinian quotient on a weighted
+        ring: the bytes of the explicit --bound 6 entry, and the tangent
+        profile of the --bound 8 entry."""
+        golden = dict(self.GOLDEN)
+        argv = ("annihilate", "--ring", "QQ[x,y:2]", "--inverse", "x^-3+x^-1*y^-1")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out == golden[argv + ("--bound", "6")] + "\n"
+        argv = ("tangents", "--ring", "GF(101)[x,y:2,z]", "--inverse", "x^-4+y^-2+z^-4")
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["result"] == json.loads(golden[argv + ("--bound", "8")])["result"]
 
 
 def test_cli_holds_no_linear_algebra():

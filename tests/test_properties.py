@@ -6,9 +6,11 @@ track both branches so no equivalence is tested vacuously.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
+from apolar import duality, invariants, rings, tangents
 from apolar.compressed import compressed_bound_check, is_permissible
 from apolar.constructions import (
     derived_seed,
@@ -53,10 +55,12 @@ from apolar.rings import (
     GradedRing,
     Polynomial,
     Subspace,
+    _free_basis,
     echelon,
     kernel,
     mat_mul,
     matrix_rank,
+    rref,
 )
 from apolar.series import TruncatedSeries, dual_series, koszul_series_verdict, wstar_window
 
@@ -656,3 +660,248 @@ def test_link_reference_rejects_a_pairing_one_degree_short(link_draws):
             for ambient, ideal, link, _ in link_draws
             if ambient.ring == ring
         )
+
+
+# ---------------------------------------------------------------------------
+# The elimination layer: one rref loop for both fields and one elimination
+# per kernel and per perp, against the two-branch rref, the two-elimination
+# kernel and the per-entry field arithmetic they replaced.
+
+
+def _reference_rref(field, rows, ncols):
+    """Dense Gauss-Jordan with separate GF(p) and QQ loops."""
+    p = field.p
+    mat = [list(r) for r in rows if any(x != 0 for x in r)]
+    pivots = []
+    row = 0
+    if p is not None:
+        for col in range(ncols):
+            sel = next((i for i in range(row, len(mat)) if mat[i][col] % p), None)
+            if sel is None:
+                continue
+            mat[row], mat[sel] = mat[sel], mat[row]
+            inv = pow(mat[row][col], -1, p)
+            mat[row] = [x * inv % p for x in mat[row]]
+            prow = mat[row]
+            for i in range(len(mat)):
+                f = mat[i][col]
+                if i != row and f:
+                    mat[i] = [(x - f * y) % p for x, y in zip(mat[i], prow)]
+            pivots.append(col)
+            row += 1
+            if row == len(mat):
+                break
+    else:
+        for col in range(ncols):
+            sel = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
+            if sel is None:
+                continue
+            mat[row], mat[sel] = mat[sel], mat[row]
+            inv = 1 / Fraction(mat[row][col])
+            mat[row] = [x * inv for x in mat[row]]
+            prow = mat[row]
+            for i in range(len(mat)):
+                f = mat[i][col]
+                if i != row and f:
+                    mat[i] = [x - f * y for x, y in zip(mat[i], prow)]
+            pivots.append(col)
+            row += 1
+            if row == len(mat):
+                break
+    mat = [r for r in mat if any(x != 0 for x in r)]
+    return tuple(tuple(r) for r in mat), tuple(pivots)
+
+
+def _reference_kernel(field, matrix, ncols):
+    """The free-column basis of the forward echelon form, echeloned again."""
+    rows, piv = _reference_rref(field, matrix, ncols)
+    if not piv:
+        full = Subspace.full(field, ncols)
+        return full.rows, full.pivots
+    pset = set(piv)
+    basis = []
+    for free in range(ncols):
+        if free in pset:
+            continue
+        v = [field.zero] * ncols
+        v[free] = field.one
+        for k, pc in enumerate(piv):
+            v[pc] = field.neg(rows[k][free])
+        basis.append(v)
+    return _reference_rref(field, basis, ncols)
+
+
+def _reference_reduce(field, space, vec):
+    v = list(vec)
+    for row, pc in zip(space.rows, space.pivots):
+        if v[pc] != 0:
+            nf = field.neg(v[pc])
+            v = [field.add(x, field.mul(nf, y)) for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def _reference_combination_matrix(C, terms, e, d):
+    field = C.ring.field
+    out = [list(row) for row in C._zero(d, e)]
+    for m, c in terms:
+        for row, mrow in zip(out, C.monomial_matrix(m, d)):
+            for j, x in enumerate(mrow):
+                if x != 0 and c != 0:
+                    row[j] = field.add(row[j], field.mul(c, x))
+    return tuple(tuple(row) for row in out)
+
+
+def _typed(x):
+    """Values with their types, so an int never passes for a Fraction."""
+    if isinstance(x, (tuple, list)):
+        return tuple(_typed(v) for v in x)
+    return type(x), x
+
+
+ELIMINATION_FIELDS = (QQ, GF(2), GF(3), F101, GF(32003))
+
+
+def _entry(field, stream):
+    x = next(stream)
+    if x % 3 == 0:
+        return field.zero
+    if field.p is None:
+        return Fraction(x % 11 - 5, 1 + (x >> 8) % 4)
+    return field.of(x)
+
+
+def _elimination_draws(field):
+    """Seeded matrices with 0-9 rows and columns, cycling through random,
+    zero, full-rank and dependent-row cases; the empty shapes come first."""
+    stream = splitmix64(7000 + (field.p or 0))
+    draws = [([], 0), ([], 5), ([(), ()], 0), ([[field.zero] * 4] * 3, 4)]
+    for k in range(120):
+        m, n = next(stream) % 10, next(stream) % 10
+        kind = k % 4
+        if kind == 0:
+            rows = [[_entry(field, stream) for _ in range(n)] for _ in range(m)]
+        elif kind == 1:
+            rows = [[field.zero] * n for _ in range(m)]
+        elif kind == 2:
+            rows = [
+                [field.one if j == i else _entry(field, stream) if j > i else field.zero
+                 for j in range(n)]
+                for i in range(m)
+            ]
+            rows = rows[::-1]
+        else:
+            base = [[_entry(field, stream) for _ in range(n)] for _ in range(1 + k % 3)]
+            mix = [[_entry(field, stream) for _ in base] for _ in range(m)]
+            rows = [list(r) for r in mat_mul(field, mix, base)]
+        draws.append((rows, n))
+    return draws
+
+
+def _kernel_failures(field, kernel_of):
+    """Draws on which ``kernel_of`` differs from the reference kernel, in
+    value or type, or is not an echelon-form kernel of its matrix."""
+    failures = 0
+    for rows, n in _elimination_draws(field):
+        K = kernel_of(field, rows, n)
+        rank = len(_reference_rref(field, rows, n)[1])
+        zero = ((field.zero,),) * len(rows)
+        products_vanish = all(mat_mul(field, rows, [[x] for x in v]) == zero for v in K.rows)
+        if not (
+            _typed((K.rows, K.pivots)) == _typed(_reference_kernel(field, rows, n))
+            and products_vanish
+            and K.dim == n - rank
+            and Subspace(field, n, K.rows) == K
+        ):
+            failures += 1
+    return failures
+
+
+@pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=repr)
+def test_elimination_layer_matches_two_elimination_references(field):
+    """rref, kernel, both sides of Subspace.perp and Subspace.reduce give the
+    values and types of the references on every draw."""
+    assert _kernel_failures(field, kernel) == 0
+    stream = splitmix64(7100 + (field.p or 0))
+    sides = set()
+    for rows, n in _elimination_draws(field):
+        assert _typed(rref(field, rows, n)) == _typed(_reference_rref(field, rows, n))
+        S = Subspace(field, n, rows)
+        P = S.perp()
+        assert _typed((P.rows, P.pivots)) == _typed(_reference_kernel(field, S.rows, n))
+        sides.add(2 * S.dim <= n)
+        vec = [_entry(field, stream) for _ in range(n)]
+        assert _typed(S.reduce(vec)) == _typed(_reference_reduce(field, S, vec))
+    assert sides == {True, False}
+
+
+def _forward_kernel(field, matrix, ncols):
+    """The free-column basis of the forward echelon form, taken as canonical
+    without the column reversal: its vectors end, not start, at their 1."""
+    rows, piv = rref(field, matrix, ncols)
+    free = tuple(c for c in range(ncols) if c not in piv)
+    basis = tuple(tuple(v) for v in _free_basis(field, rows, piv, ncols))
+    return Subspace(field, ncols, _canonical=(basis, free))
+
+
+@pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=repr)
+def test_elimination_oracle_rejects_a_kernel_without_the_column_reversal(field):
+    assert _kernel_failures(field, _forward_kernel) > 0
+
+
+@pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=repr)
+def test_combination_matrix_matches_per_entry_reference(field):
+    ring = GradedRing.standard(field, 3)
+    x, y, z = (ring.variable(i) for i in range(3))
+    C = QuotientRing(GradedIdeal.from_generators(ring, [x * x - y * z, y * y, z ** 3, x * y], 6))
+    stream = splitmix64(7200 + (field.p or 0))
+    for e in range(3):
+        for d in range(5):
+            terms = [(m, _entry(field, stream)) for m in ring.monomials(e)]
+            got = C.combination_matrix(terms, e, d)
+            assert _typed(got) == _typed(_reference_combination_matrix(C, terms, e, d))
+
+
+@pytest.mark.parametrize("field", (QQ, F101), ids=repr)
+def test_kernel_and_perp_each_eliminate_once(monkeypatch, field):
+    """One rref per kernel and per perp, on both sides of the size rule and
+    on the zero and full spaces."""
+    stream = splitmix64(7300)
+    spaces = [
+        Subspace(field, 6, [[_entry(field, stream) for _ in range(6)] for _ in range(k)])
+        for k in (2, 5)
+    ] + [Subspace.zero(field, 6), Subspace.full(field, 6), Subspace.zero(field, 0)]
+    assert [2 * S.dim <= S.ncols for S in spaces[:2]] == [True, False]
+    calls = []
+    real = rings.rref
+    monkeypatch.setattr(rings, "rref", lambda *args: calls.append(args) or real(*args))
+    for S in spaces:
+        for run in (S.perp, lambda: kernel(field, S.rows, S.ncols)):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+
+
+def test_dimension_only_callers_never_build_a_kernel(monkeypatch):
+    """socle, hom_into_dual_dims and the tangent dimensions take a rank."""
+    ring = GradedRing.standard(F101, 3)
+    D = generated_submodule(random_dual_generators(ring, {2: 1, 3: 1}, 5))
+    I = annihilator_of_submodule(D)
+    C = QuotientRing(I)
+    s = C.top_degree()
+    dual_dims = [apolar_annihilator(I).piece(p).dim for p in range(-s - 1, 2)]
+    profile = tangents.hom_dims(I)
+    mingens = tangents.minimal_generators(I)
+    top = tangents._syzygy_top(ring, s, s - min(profile.dims))
+    minsyz = tangents._minimal_syzygies(I, mingens, top)
+
+    def forbidden(*args):
+        raise AssertionError("kernel called where a rank suffices")
+
+    for module in (rings, duality, invariants, tangents):
+        if hasattr(module, "kernel"):
+            monkeypatch.setattr(module, "kernel", forbidden)
+    assert socle(I).sum() == 2
+    assert [hom_into_dual_dims(I, p) for p in range(-s - 1, 2)] == dual_dims
+    assert {
+        v: tangents._hom_dim(C, mingens, minsyz, v, s - v) for v in profile.dims
+    } == profile.dims
