@@ -25,13 +25,12 @@ from .duality import (
     InverseSystem,
     QuotientRing,
     _contraction_span,
-    apolar_annihilator,
     catalecticant_matrix,
     dual_dim,
-    dual_minimal_generators,
 )
 from .invariants import (
     IntSeq,
+    _dual_socle_generator,
     generator_type,
     hilbert_function,
     is_gorenstein,
@@ -508,7 +507,7 @@ def cpd_artinian_checks(obj) -> CpdArtinianReport:
     else:
         h_eq = None
         symmetric = None
-    f = dual_minimal_generators(apolar_annihilator(ideal))[0]
+    f = _dual_socle_generator(ideal)
     rows = []
     for p in halfs:
         direct = h[p] == a(p)

@@ -218,6 +218,8 @@ def power_sum_system(ring: GradedRing, points, scalars, a: int, s: int, g=None) 
         raise MathDomainError("power sums need a standard grading")
     field = ring.field
     points = [tuple(pt) for pt in points]
+    if any(len(pt) != ring.nvars for pt in points):
+        raise MathDomainError("point has the wrong number of coordinates")
     scalars = [field.of(c) for c in scalars]
     q = len(points)
     if q == 0 or len(scalars) != q:

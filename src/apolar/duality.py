@@ -36,6 +36,7 @@ from .rings import (
     Polynomial,
     Subspace,
     TruncatedAlgebra,
+    _Terms,
     _monomials_by_degree,
     _sub_multiple,
     _var_step,
@@ -66,7 +67,7 @@ def dual_dim(ring: GradedRing, shifts: tuple, n: int) -> int:
     return len(_dual_basis(ring.weights, shifts, n))
 
 
-class InverseElement:
+class InverseElement(_Terms):
     """An element of the graded dual of A (or of a shifted free module).
 
     Terms map (component, inverse monomial) to a coefficient; a term in
@@ -74,62 +75,46 @@ class InverseElement:
     rank-one dual of A itself, terms may be given by bare exponent tuples.
     """
 
-    __slots__ = ("ring", "shifts", "terms")
+    __slots__ = ("shifts",)
+    _noun = "dual element"
 
     def __init__(self, ring: GradedRing, terms=(), shifts=(0,)):
         shifts = tuple(shifts)
         if shifts and min(shifts) != 0:
             raise ValueError("shifts must be normalized with smallest shift 0")
-        field = ring.field
-        data = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for key, c in items:
-            if len(key) == 2 and isinstance(key[1], tuple):
-                j, m = key
-            else:
-                j, m = 0, tuple(key)
-            if not (0 <= j < len(shifts)) or len(m) != ring.nvars or any(e < 0 for e in m):
-                raise ValueError(f"bad dual term key {key!r}")
-            c = field.of(c)
-            if (j, m) in data:
-                c = field.add(data[(j, m)], c)
-            if field.is_zero(c):
-                data.pop((j, m), None)
-            else:
-                data[(j, m)] = c
-        self.ring = ring
         self.shifts = shifts
-        self.terms = data
+        super().__init__(ring, terms)
 
-    @classmethod
-    def inverse_monomial(cls, ring: GradedRing, expts, coeff=1) -> "InverseElement":
-        return cls(ring, {tuple(expts): coeff})
+    @property
+    def _ambient(self):
+        return (self.ring, self.shifts)
+
+    def _key(self, key):
+        if len(key) == 2 and isinstance(key[1], tuple):
+            j, m = key
+        else:
+            j, m = 0, tuple(key)
+        if not (0 <= j < len(self.shifts)) or len(m) != self.ring.nvars or any(e < 0 for e in m):
+            raise ValueError(f"bad dual term key {key!r}")
+        return (j, m)
 
     def term_degree(self, key) -> int:
         j, m = key
         return self.shifts[j] - self.ring.wdeg(m)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _print_key(self, key):
+        return (-self.term_degree(key),) + key
 
-    def is_homogeneous(self) -> bool:
-        return len({self.term_degree(k) for k in self.terms}) <= 1
+    def _term_str(self, key, c) -> str:
+        j, m = key
+        body = self._body(self.ring.monomial_str(m, inverse=True), c)
+        if len(self.shifts) == 1:
+            return body
+        return f"e{j}" if body == "1" else f"e{j}*{body}"
 
-    def degree(self) -> int:
-        degs = {self.term_degree(k) for k in self.terms}
-        if not degs:
-            raise MathDomainError("the zero dual element has no degree")
-        if len(degs) > 1:
-            raise MathDomainError("dual element is not homogeneous")
-        return degs.pop()
-
-    def homogeneous_components(self) -> dict:
-        parts = {}
-        for k, c in self.terms.items():
-            parts.setdefault(self.term_degree(k), {})[k] = c
-        return {
-            n: InverseElement(self.ring, t, self.shifts) for n, t in sorted(parts.items())
-        }
+    @classmethod
+    def inverse_monomial(cls, ring: GradedRing, expts, coeff=1) -> "InverseElement":
+        return cls(ring, {tuple(expts): coeff})
 
     def support_degrees(self) -> tuple:
         return tuple(sorted({self.term_degree(k) for k in self.terms}))
@@ -149,64 +134,10 @@ class InverseElement:
         basis = _dual_basis(ring.weights, tuple(shifts), n)
         return cls(ring, {bm: c for bm, c in zip(basis, vec)}, tuple(shifts))
 
-    def __add__(self, other: "InverseElement") -> "InverseElement":
-        if self.shifts != other.shifts or self.ring != other.ring:
-            raise ValueError("ambient mismatch")
-        return InverseElement(
-            self.ring, list(self.terms.items()) + list(other.terms.items()), self.shifts
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        f = self.ring.field
-        return InverseElement(
-            self.ring, {k: f.neg(c) for k, c in self.terms.items()}, self.shifts
-        )
-
     def scale(self, c) -> "InverseElement":
         f = self.ring.field
         c = f.of(c)
-        return InverseElement(
-            self.ring, {k: f.mul(c, v) for k, v in self.terms.items()}, self.shifts
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InverseElement)
-            and self.ring == other.ring
-            and self.shifts == other.shifts
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.shifts, frozenset(self.terms.items())))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        ring, field = self.ring, self.ring.field
-        rank1 = len(self.shifts) == 1
-        keys = sorted(
-            self.terms,
-            key=lambda k: (-self.term_degree(k), k[0], k[1]),
-        )
-        chunks = []
-        for k in keys:
-            j, m = k
-            c = self.terms[k]
-            mono = ring.monomial_str(m, inverse=True)
-            body = mono if c == field.one and mono != "1" else (
-                field.coeff_str(c) if mono == "1" else f"{field.coeff_str(c)}*{mono}"
-            )
-            if not rank1:
-                body = f"e{j}" if body == "1" else f"e{j}*{body}"
-            chunks.append(body)
-        out = chunks[0]
-        for ch in chunks[1:]:
-            out += f" - {ch[1:]}" if ch.startswith("-") else f" + {ch}"
-        return out
+        return self._like({k: f.mul(c, v) for k, v in self.terms.items()})
 
     def __repr__(self):
         return f"<dual {self}>"
@@ -595,15 +526,19 @@ class FilteredIdeal:
         return sum(1 for c in self.space.pivots if c >= top) == self.algebra.dims[-1]
 
 
+def _filtered_generators(algebra: TruncatedAlgebra, rows, act, element_of) -> list:
+    """The rows, as elements, that the images of all rows under ``act(i, .)``
+    for every variable X_i do not span."""
+    moved = [act(i, r) for r in rows for i in range(algebra.ring.nvars)]
+    covered = echelon(algebra.ring.field, moved, algebra.total_dim)
+    return [element_of(r) for r in complete_span(covered, rows)]
+
+
 def filtered_minimal_generators(ideal: FilteredIdeal) -> list:
     """Minimal generators of a truncated filtered ideal: the echelon basis
     rows that the variable multiples of the ideal do not span."""
     alg = ideal.algebra
-    products = [
-        alg.multiply_by_var(i, r) for r in ideal.space.rows for i in range(alg.ring.nvars)
-    ]
-    covered = echelon(alg.ring.field, products, alg.total_dim)
-    return [alg.polynomial_of(r) for r in complete_span(covered, ideal.space.rows)]
+    return _filtered_generators(alg, ideal.space.rows, alg.multiply_by_var, alg.polynomial_of)
 
 
 def filtered_dual_generators(ideal: FilteredIdeal) -> list:
@@ -611,10 +546,9 @@ def filtered_dual_generators(ideal: FilteredIdeal) -> list:
     the basis rows of the perp space that its variable contractions do not
     span."""
     alg = ideal.algebra
-    dual = ideal.space.perp()
-    moved = [alg.contract_by_var(i, v) for v in dual.rows for i in range(alg.ring.nvars)]
-    covered = echelon(alg.ring.field, moved, alg.total_dim)
-    return [dual_element_of(alg, v) for v in complete_span(covered, dual.rows)]
+    return _filtered_generators(
+        alg, ideal.space.perp().rows, alg.contract_by_var, functools.partial(dual_element_of, alg)
+    )
 
 
 class FilteredDual:
@@ -633,29 +567,18 @@ class FilteredDual:
 
 
 def dual_vector_of(algebra: TruncatedAlgebra, f: InverseElement):
-    """Total-dual-space vector of an element with support above -bound."""
+    """Total-dual-space vector of an element with support above -bound: 1/M
+    sits in the slot of M in ``algebra.vector_of``."""
     if len(f.shifts) != 1:
         raise MathDomainError("filtered duals are rank one")
-    ring = algebra.ring
-    out = [ring.field.zero] * algebra.total_dim
-    for (j, m), c in f.terms.items():
-        q = ring.wdeg(m)
-        if q >= algebra.bound:
-            raise BoundExceededError(f"dual degree {-q} below truncation window")
-        out[algebra.offsets[q] + ring.monomial_index(q, m)] = c
-    return tuple(out)
+    for n in map(f.term_degree, f.terms):
+        if -n >= algebra.bound:
+            raise BoundExceededError(f"dual degree {n} below truncation window")
+    return algebra.vector_of(Polynomial(algebra.ring, {m: c for (_, m), c in f.terms.items()}))
 
 
 def dual_element_of(algebra: TruncatedAlgebra, vec) -> InverseElement:
-    ring = algebra.ring
-    terms = {}
-    for q in range(algebra.bound):
-        base = algebra.offsets[q]
-        for j, m in enumerate(ring.monomials(q)):
-            c = vec[base + j]
-            if c != 0:
-                terms[m] = c
-    return InverseElement(ring, terms)
+    return InverseElement(algebra.ring, algebra.polynomial_of(vec).terms)
 
 
 def _monomial_orbit(algebra: TruncatedAlgebra, vec, act) -> list:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .duality import (
     GradedIdeal,
+    InverseElement,
     InverseSystem,
     QuotientRing,
     _contraction_span,
@@ -18,9 +19,10 @@ from .duality import (
     _multiple_span,
     annihilator_of_submodule,
     apolar_annihilator,
+    catalecticant_matrix,
     dual_minimal_generators,
 )
-from .rings import MathDomainError, Subspace, echelon, kernel, matrix_rank
+from .rings import MathDomainError, echelon, mat_mul, matrix_rank
 
 
 class IntSeq:
@@ -290,14 +292,24 @@ class LinkageReport:
     is_cyclic: bool
 
 
-def linkage(ambient: GradedIdeal, ideal: GradedIdeal) -> LinkageReport:
-    """The link (0 : I) of an ideal inside a Gorenstein Artinian quotient.
+def _dual_socle_generator(ideal: GradedIdeal) -> InverseElement:
+    """The dual generator F of a Gorenstein Artinian quotient R/J: the one
+    row of the perp of J in the top degree of the quotient."""
+    top = max(d for d in range(ideal.bound) if ideal.quotient_dim(d))
+    return InverseElement.from_vector(ideal.ring, -top, ideal.piece(top).perp().rows[0])
 
-    ``ambient`` presents A = R/J; ``ideal`` is any homogeneous ideal of R
-    (J is added to it).  The link is returned as an ideal of R containing J,
-    together with the Hilbert function of its quotient, the degrees of a
-    minimal A-module generating set of the link mod J, and whether that
-    generating set is a single element.
+
+def linkage(ambient: GradedIdeal, ideal: GradedIdeal) -> LinkageReport:
+    """The link J : I of an ideal inside a Gorenstein Artinian quotient.
+
+    ``ambient`` presents A = R/J; ``ideal`` is any homogeneous ideal I of R
+    (J is added to it).  With F the dual generator of A, ideals containing J
+    match the submodules I∘F of A∘F, and the link is an annihilator:
+    J : I = Ann(I∘F), where (I∘F)_{d - top} is the row space of I_d times
+    the catalecticant of F.  The link is returned as an ideal of R
+    containing J, together with the Hilbert function of its quotient, the
+    degrees of a minimal A-module generating set of the link mod J, and
+    whether that generating set is a single element.
     """
     if ambient.ring != ideal.ring:
         raise ValueError("ambient and ideal live in different rings")
@@ -305,67 +317,28 @@ def linkage(ambient: GradedIdeal, ideal: GradedIdeal) -> LinkageReport:
         raise MathDomainError("ambient quotient is not Artinian within its bound")
     if socle(ambient).sum() != 1:
         raise MathDomainError("linkage needs a Gorenstein ambient")
-    Q = QuotientRing(ambient)
-    ring = ambient.ring
-    field = ring.field
-    bound = ambient.bound
-    top = Q.top_degree()
-
-    # image of the ideal in the quotient, degree by degree
-    image = {}
-    for d in range(bound):
-        if d >= ideal.bound:
-            if not ideal.artinian_certified:
-                raise MathDomainError("ideal is not known beyond its bound")
-            image[d] = Subspace.full(field, Q.dim(d))
-            continue
-        rows = [Q.reduce(d, r) for r in ideal.piece(d).rows]
-        image[d] = echelon(field, rows, Q.dim(d))
-
-    # link degreewise: v with v * image = 0 in the quotient.  In the
-    # Gorenstein quotient a product in degree d + e vanishes exactly when it
-    # pairs to zero with everything of degree top - d - e, and the image is
-    # an ideal, so v * image = 0 exactly when v * image_{top - d} = 0.
-    link_q = {}
-    for d in range(bound):
-        n = Q.dim(d)
-        if n == 0:
-            link_q[d] = Subspace.zero(field, 0)
-            continue
-        e = top - d
-        monos = [ring.monomials(e)[pos] for pos in Q.basis_positions(e)]
-        rows = [
-            row
-            for urow in image[e].rows
-            for row in Q.combination_matrix(zip(monos, urow), e, d)
-        ]
-        link_q[d] = kernel(field, rows, n)
-
-    # lift back to an ideal of R containing J
+    if ideal.bound < ambient.bound and not ideal.artinian_certified:
+        raise MathDomainError("ideal is not known beyond its bound")
+    ring, field = ambient.ring, ambient.ring.field
+    F = _dual_socle_generator(ambient)
+    top = -F.degree()
     pieces = {}
-    for d in range(bound):
-        rows = list(ambient.piece(d).rows)
-        basis_pos = Q.basis_positions(d)
-        for v in link_q[d].rows:
-            amb = [field.zero] * ring.dim(d)
-            for c, pos in zip(v, basis_pos):
-                amb[pos] = c
-            rows.append(tuple(amb))
-        pieces[d] = echelon(field, rows, ring.dim(d))
-    link = GradedIdeal(ring, bound, pieces)
-
-    h_link = hilbert_function(link)
+    for d in range(top + 1):
+        cat = catalecticant_matrix(F, -d)
+        rows = mat_mul(field, ideal.piece(d).rows, cat) if d < ideal.bound else cat
+        pieces[d - top] = echelon(field, rows, ring.dim(top - d))
+    link = annihilator_of_submodule(InverseSystem(ring, pieces), ambient.bound)
 
     # minimal module generators of the link mod J: in each degree, the part
     # of the link outside J and the variable multiples of the link below
     gen_degs = []
-    for d in range(bound):
-        if link_q[d].dim:
+    for d, piece in link.pieces.items():
+        if piece.dim > ambient.piece(d).dim:
             covered = _multiple_span(ring, link.pieces, d, ambient.piece(d).rows)
-            gen_degs.extend([d] * (link.pieces[d].dim - covered.dim))
+            gen_degs.extend([d] * (piece.dim - covered.dim))
     return LinkageReport(
         link=link,
-        quotient_hilbert=h_link,
+        quotient_hilbert=hilbert_function(link),
         generator_degrees=tuple(gen_degs),
         is_cyclic=(len(gen_degs) == 1),
     )
@@ -389,15 +362,11 @@ class StabilityReport:
 
 def stable_from(D: InverseSystem) -> int:
     """Least n0 such that every piece of D above degree n0 is spanned by
-    variable contractions from one weight below."""
-    supp = D.support()
-    if not supp:
+    variable contractions from one weight below: the top degree of a
+    minimal generator."""
+    if not D.support():
         raise MathDomainError("zero module")
-    worst = supp[0] - 1
-    for n in range(supp[0], max(D.shifts) + 1):
-        if _contraction_span(D.ring, D.shifts, D.pieces, n, ()).dim != D.piece(n).dim:
-            worst = n
-    return worst
+    return -generator_type(D).first()
 
 
 def integrity(obj) -> int:

@@ -15,6 +15,11 @@ its transpose, reading coordinate step[j] of a degree-(d + w_i) dual vector
 into coordinate j of the degree-d one.  Every variable multiplication and
 contraction matrix in the package is read off this map.
 
+Polynomials and the dual elements of ``duality`` share one term core: a
+map from keys to nonzero coefficients that normalizes, compares, adds,
+splits by degree and prints the same way, each class saying only how a key
+is read, its degree, the print order and the text of one term.
+
 Coefficients live in an exact field: the rationals (``fractions.Fraction``)
 or a prime field GF(p) (plain ints reduced mod p).  Subspaces of a graded
 piece are stored in reduced row-echelon form, so two subspaces are equal
@@ -275,28 +280,126 @@ def graded_dim(ring: GradedRing, d: int) -> int:
     return ring.dim(d)
 
 
-class Polynomial:
-    """A polynomial with exact coefficients; zero coefficients are not stored."""
+class _Terms:
+    """The term core shared by polynomials and dual elements.
+
+    ``terms`` maps a key to a nonzero exact coefficient.  A subclass says how
+    a key is read (``_key``), the degree of a term (``term_degree``), the
+    print order (``_print_key``) and the text of one term (``_term_str``);
+    ``_ambient`` is what two elements must share to be compared or added,
+    and ``_noun`` names the kind of element in errors.
+    """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: GradedRing, terms=()):
+        self.ring = ring
         field = ring.field
         data = {}
         items = terms.items() if hasattr(terms, "items") else terms
-        for m, c in items:
-            m = tuple(m)
-            if len(m) != ring.nvars or any(e < 0 for e in m):
-                raise ValueError(f"bad exponent vector {m}")
+        for key, c in items:
+            key = self._key(key)
             c = field.of(c)
-            if m in data:
-                c = field.add(data[m], c)
+            if key in data:
+                c = field.add(data[key], c)
             if field.is_zero(c):
-                data.pop(m, None)
+                data.pop(key, None)
             else:
-                data[m] = c
-        self.ring = ring
+                data[key] = c
         self.terms = data
+
+    def _like(self, terms):
+        return type(self)(self.ring, terms, *self._ambient[1:])
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_homogeneous(self) -> bool:
+        return len({self.term_degree(k) for k in self.terms}) <= 1
+
+    def degree(self) -> int:
+        """Weighted degree of a nonzero homogeneous element."""
+        degs = {self.term_degree(k) for k in self.terms}
+        if not degs:
+            raise MathDomainError(f"the zero {self._noun} has no degree")
+        if len(degs) > 1:
+            raise MathDomainError(f"{self._noun} is not homogeneous")
+        return degs.pop()
+
+    def homogeneous_components(self) -> dict:
+        parts = {}
+        for k, c in self.terms.items():
+            parts.setdefault(self.term_degree(k), {})[k] = c
+        return {d: self._like(t) for d, t in sorted(parts.items())}
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self._ambient != other._ambient:
+            raise ValueError("ambient mismatch")
+        return self._like(list(self.terms.items()) + list(other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        f = self.ring.field
+        return self._like({k: f.neg(c) for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self._ambient == other._ambient
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash(self._ambient + (frozenset(self.terms.items()),))
+
+    def _body(self, mono: str, c) -> str:
+        """One term without its basis label: the coefficient, the monomial,
+        or coefficient*monomial."""
+        field = self.ring.field
+        if mono == "1":
+            return field.coeff_str(c)
+        return mono if c == field.one else f"{field.coeff_str(c)}*{mono}"
+
+    def __str__(self):
+        chunks = [self._term_str(k, self.terms[k]) for k in sorted(self.terms, key=self._print_key)]
+        if not chunks:
+            return "0"
+        out = chunks[0]
+        for ch in chunks[1:]:
+            out += f" - {ch[1:]}" if ch.startswith("-") else f" + {ch}"
+        return out
+
+
+class Polynomial(_Terms):
+    """A polynomial with exact coefficients; zero coefficients are not stored."""
+
+    __slots__ = ()
+    _noun = "polynomial"
+
+    @property
+    def _ambient(self):
+        return (self.ring,)
+
+    def _key(self, m):
+        m = tuple(m)
+        if len(m) != self.ring.nvars or any(e < 0 for e in m):
+            raise ValueError(f"bad exponent vector {m}")
+        return m
+
+    def term_degree(self, m) -> int:
+        return self.ring.wdeg(m)
+
+    def _print_key(self, m):
+        d = self.ring.wdeg(m)
+        return d, self.ring.monomial_index(d, m)
+
+    def _term_str(self, m, c) -> str:
+        mono = self.ring.monomial_str(m)
+        return f"-{mono}" if c == -1 and mono != "1" else self._body(mono, c)
 
     @classmethod
     def zero(cls, ring: GradedRing) -> "Polynomial":
@@ -309,28 +412,6 @@ class Polynomial:
     @classmethod
     def monomial(cls, ring: GradedRing, expts, coeff=1) -> "Polynomial":
         return cls(ring, {tuple(expts): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.ring.wdeg(m) for m in self.terms}
-        return len(degs) <= 1
-
-    def degree(self) -> int:
-        """Weighted degree of a nonzero homogeneous polynomial."""
-        degs = {self.ring.wdeg(m) for m in self.terms}
-        if not degs:
-            raise MathDomainError("the zero polynomial has no degree")
-        if len(degs) > 1:
-            raise MathDomainError("polynomial is not homogeneous")
-        return degs.pop()
-
-    def homogeneous_components(self) -> dict:
-        parts = {}
-        for m, c in self.terms.items():
-            parts.setdefault(self.ring.wdeg(m), {})[m] = c
-        return {d: Polynomial(self.ring, t) for d, t in sorted(parts.items())}
 
     def coefficient_vector(self, d: int) -> tuple:
         """Coefficients on the canonical basis of the degree-d piece."""
@@ -346,19 +427,6 @@ class Polynomial:
     def from_vector(cls, ring: GradedRing, d: int, vec) -> "Polynomial":
         mons = ring.monomials(d)
         return cls(ring, {m: c for m, c in zip(mons, vec)})
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        merged = dict(self.terms)
-        return Polynomial(self.ring, list(merged.items()) + list(other.terms.items()))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        f = self.ring.field
-        return Polynomial(self.ring, {m: f.neg(c) for m, c in self.terms.items()})
 
     def __mul__(self, other):
         f = self.ring.field
@@ -381,44 +449,6 @@ class Polynomial:
         out = Polynomial.one(self.ring)
         for _ in range(n):
             out = out * self
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
-    def _sorted_terms(self):
-        ring = self.ring
-        return sorted(
-            self.terms.items(),
-            key=lambda mc: (ring.wdeg(mc[0]), ring.monomial_index(ring.wdeg(mc[0]), mc[0])),
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        ring, field = self.ring, self.ring.field
-        chunks = []
-        for m, c in self._sorted_terms():
-            mono = ring.monomial_str(m)
-            if mono == "1":
-                body = field.coeff_str(c)
-            elif c == field.one:
-                body = mono
-            elif field.p is None and c == -field.one:
-                body = f"-{mono}"
-            else:
-                body = f"{field.coeff_str(c)}*{mono}"
-            chunks.append(body)
-        out = chunks[0]
-        for ch in chunks[1:]:
-            out += f" - {ch[1:]}" if ch.startswith("-") else f" + {ch}"
         return out
 
     def __repr__(self):
@@ -543,14 +573,24 @@ def echelon(field: Field, rows, ncols: int) -> Subspace:
 def complete_span(covered: Subspace, candidates) -> list:
     """The candidates, in order, that complete ``covered`` to their joint span.
 
-    Each candidate is reduced against the span of ``covered`` and of the
-    candidates accepted before it, and accepted when it is not contained.
+    Each candidate is reduced against the rows of ``covered`` and the
+    residues accepted before it, and accepted when its residue is nonzero.
+    That residue is stored scaled to 1 at its first nonzero column, so every
+    stored row vanishes at the pivots stored before it and one pass in order
+    reduces fully.
     """
+    field = covered.field
+    basis = list(zip(covered.rows, covered.pivots))
     accepted = []
     for v in candidates:
-        if not covered.contains(v):
+        r = v
+        for row, pc in basis:
+            if r[pc] != 0:
+                r = _sub_multiple(field.p, r, r[pc], row)
+        pc = next((c for c, x in enumerate(r) if x != 0), None)
+        if pc is not None:
             accepted.append(v)
-            covered = Subspace(covered.field, covered.ncols, covered.rows + (tuple(v),))
+            basis.append((_sub_multiple(field.p, [0] * len(r), -field.inv(r[pc]), r), pc))
     return accepted
 
 
@@ -637,7 +677,7 @@ class TruncatedAlgebra:
 
     def __init__(self, ring: GradedRing, bound: int):
         if bound < 1:
-            raise ValueError("bound must be at least 1")
+            raise BoundExceededError("bound must be at least 1")
         self.ring = ring
         self.bound = bound
         self.dims = tuple(ring.dim(d) for d in range(bound))

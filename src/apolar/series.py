@@ -182,7 +182,7 @@ def vanishing_polynomial(degrees) -> TruncatedSeries:
     for d in degrees:
         d = int(d)
         if d < 1:
-            raise ValueError("degrees must be positive")
+            raise MathDomainError("degrees must be positive")
         factor = TruncatedSeries([1] + [0] * (d - 1) + [-1], 0, None)
         out = out * factor
     return out

@@ -278,6 +278,31 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ")
 
+    # inputs that once escaped as a ValueError traceback with exit 1
+    DOMAIN_INPUTS = {
+        "annihilate-inverse-bound-0":
+            ("annihilate", "--ring", "QQ[x,y]", "--inverse", "x^-2+y^-1", "--bound", "0"),
+        "annihilate-ideal-bound-0":
+            ("annihilate", "--ring", "QQ[x,y]", "--ideal", "x^2+y,y^2", "--bound", "0"),
+        "assoc-graded-bound-0":
+            ("assoc-graded", "--ring", "QQ[x,y]", "--inverse", "x^-2+y^-1", "--bound", "0"),
+        "koszul-degree-0":
+            ("series", "koszul", "--h", "1,2", "--hq", "1", "--degrees", "0", "--n", "3"),
+        "froberg-ci-0": ("series", "froberg", "--base-h", "1,3,6", "--ci", "0", "--n", "3"),
+        "power-sum-point-arity":
+            ("construct", "power-sum", "--ring", "QQ[x,y]", "--points", "1,0,3",
+             "--scalars", "1", "--a", "2", "--s", "2"),
+    }
+
+    @pytest.mark.parametrize("argv", DOMAIN_INPUTS.values(), ids=DOMAIN_INPUTS.keys())
+    def test_domain_inputs_exit_3_without_traceback(self, capsys, argv):
+        code, doc = run_json(capsys, *argv)
+        assert code == 3
+        assert set(doc) == {"error"} and doc["error"]["code"] == 3
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestSchemaSweep:
     """Every subcommand's JSON output validates against the committed schema.
@@ -489,6 +514,13 @@ class TestGoldenBytes:
             '"result":{"generator_degrees":[-4,-4],'
             '"generators":["y^-2*z^-2 + x^-2*y^-1*z^-1 + x^-4","x^-1*y^-1*z^-2 + x^-3*z^-1"],'
             '"hilbert":{"offset":0,"values":[1,3,5,4,2]}},'
+            '"ring":{"field":"QQ","variables":["x","y","z"],"weights":[1,1,1]}}',
+        ),
+        (
+            # pins the "- 1*" text of a QQ dual coefficient of -1
+            ("annihilate", "--ring", "QQ[x,y,z]", "--ideal", "x^2+y,y^2+z,z^2+x*y"),
+            '{"provenance":{"bound":4,"bound_limited":false,"seed":null},'
+            '"result":{"generators":["y^-1 - 1*x^-2"],"quotient_dim":3},'
             '"ring":{"field":"QQ","variables":["x","y","z"],"weights":[1,1,1]}}',
         ),
     ]

@@ -62,6 +62,7 @@ from apolar.rings import (
     matrix_rank,
     rref,
 )
+from apolar.parsing import parse_expression
 from apolar.series import TruncatedSeries, dual_series, koszul_series_verdict, wstar_window
 
 F101 = GF(101)
@@ -905,3 +906,160 @@ def test_dimension_only_callers_never_build_a_kernel(monkeypatch):
     assert {
         v: tangents._hom_dim(C, mingens, minsyz, v, s - v) for v in profile.dims
     } == profile.dims
+
+
+# ---------------------------------------------------------------------------
+# complete_span in one pass, against the version that rebuilt the covered
+# span with one rref per accepted candidate.
+
+
+def _reference_complete_span(covered, candidates):
+    accepted = []
+    for v in candidates:
+        if not covered.contains(v):
+            accepted.append(v)
+            covered = Subspace(covered.field, covered.ncols, covered.rows + (tuple(v),))
+    return accepted
+
+
+def _span_draws(field):
+    """(covered, candidates) pairs: empty, full and random covered spans,
+    with zero, duplicate and dependent candidates mixed in."""
+    stream = splitmix64(7400 + (field.p or 0))
+    draws = []
+    for k in range(60):
+        n = 1 + next(stream) % 8
+        kind = k % 3
+        if kind == 0:
+            covered = Subspace.zero(field, n)
+        elif kind == 1:
+            covered = Subspace.full(field, n)
+        else:
+            covered = Subspace(
+                field, n, [[_entry(field, stream) for _ in range(n)] for _ in range(k % 5)]
+            )
+        cands = [tuple(_entry(field, stream) for _ in range(n)) for _ in range(1 + k % 6)]
+        mix = [_entry(field, stream) for _ in cands]
+        dependent = tuple(
+            sum((field.mul(c, v[j]) for c, v in zip(mix, cands)), field.zero)
+            for j in range(n)
+        )
+        if field.p is not None:
+            dependent = tuple(x % field.p for x in dependent)
+        cands += [(field.zero,) * n, cands[0], dependent]
+        cands += [tuple(r) for r in covered.rows[:1]]
+        draws.append((covered, cands[next(stream) % len(cands):] + cands))
+    return draws
+
+
+@pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=repr)
+def test_complete_span_matches_the_rebuilding_reference(field):
+    kinds = set()
+    for covered, cands in _span_draws(field):
+        got = rings.complete_span(covered, cands)
+        assert _typed(got) == _typed(_reference_complete_span(covered, cands))
+        assert all(any(g is c for c in cands) for g in got)
+        kinds.add((covered.dim == 0, covered.dim == covered.ncols, bool(got)))
+    assert {(True, False, True), (False, True, False)} <= kinds
+
+
+def test_complete_span_never_calls_rref(monkeypatch):
+    draws = _span_draws(QQ) + _span_draws(F101)
+
+    def forbidden(*args):
+        raise AssertionError("complete_span called rref")
+
+    monkeypatch.setattr(rings, "rref", forbidden)
+    for covered, cands in draws:
+        rings.complete_span(covered, cands)
+
+
+# ---------------------------------------------------------------------------
+# One term core for polynomials and dual elements.
+
+
+TERM_RINGS = (
+    GradedRing.standard(QQ, 3),
+    GradedRing.standard(GF(3), 3),
+    GradedRing.standard(GF(32003), 2),
+    GradedRing(("x", "y"), (1, 2), QQ),
+)
+
+
+def _term_draws(ring, seed):
+    """Polynomials and rank-one dual elements with up to five terms of mixed
+    degrees 0-3, coefficients of -1 and 1 among them, and the zero element."""
+    stream = splitmix64(seed)
+    field = ring.field
+    out = [Polynomial(ring, {}), InverseElement(ring, {})]
+    for _ in range(40):
+        terms = {}
+        for _ in range(1 + next(stream) % 5):
+            mons = ring.monomials(next(stream) % 4)
+            if mons:
+                c = (field.one, field.neg(field.one), _entry(field, stream))[next(stream) % 3]
+                terms[mons[next(stream) % len(mons)]] = c
+        out += [Polynomial(ring, terms), InverseElement(ring, terms)]
+    return out
+
+
+@pytest.mark.parametrize("ring", TERM_RINGS, ids=repr)
+def test_elements_print_parse_hash_and_split_consistently(ring):
+    for x in _term_draws(ring, 7500 + TERM_RINGS.index(ring)):
+        mode = "polynomial" if isinstance(x, Polynomial) else "inverse"
+        back = parse_expression(str(x), ring, mode)
+        assert back == x and hash(back) == hash(x)
+        twin = type(x)(ring, list(reversed(list(x.terms.items()))))
+        assert twin == x and hash(twin) == hash(x)
+        total = type(x)(ring, {})
+        for d, part in x.homogeneous_components().items():
+            assert part.degree() == d
+            total = total + part
+        assert total == x
+        assert (x - x).is_zero() and -(-x) == x
+
+
+def test_addition_across_ambients_raises():
+    """New for Polynomial, which used to merge the terms silently."""
+    qq2, qq3 = GradedRing.standard(QQ, 2), GradedRing.standard(QQ, 3)
+    gf2 = GradedRing.standard(F101, 2)
+    x = qq2.variable(0)
+    for other in (qq3.variable(0), gf2.variable(0)):
+        with pytest.raises(ValueError):
+            x + other
+        with pytest.raises(ValueError):
+            x - other
+    f = InverseElement(qq2, {(1, 0): 1})
+    with pytest.raises(ValueError):
+        f + InverseElement(qq2, {(0, (1, 0)): 1}, (0, 1))
+    with pytest.raises(ValueError):
+        f + InverseElement(gf2, {(1, 0): 1})
+    with pytest.raises(TypeError):
+        f + x
+
+
+def test_stable_from_is_the_top_generator_degree(menu_draws):
+    """stable_from(D) = -generator_type(D).first(), on the menu draws and on
+    shifted systems, and the last degree whose piece the contractions from
+    below do not span."""
+    ring = GradedRing.standard(F101, 2)
+    shifted = []
+    for k, shifts in enumerate(((0, 1), (0, 2), (0, 0, 1))):
+        stream = splitmix64(7600 + k)
+        gens = [
+            InverseElement(
+                ring, {(j, m): _entry(F101, stream) or 1 for m in ring.monomials(2 + j)}, shifts
+            )
+            for j in range(len(shifts))
+        ]
+        shifted.append(generated_submodule(gens))
+    systems = [D for _, _, D, _ in menu_draws] + shifted
+    for D in systems:
+        got = invariants.stable_from(D)
+        assert got == -generator_type(D).first()
+        unspanned = [
+            n for n in range(D.support()[0], max(D.shifts) + 1)
+            if duality._contraction_span(D.ring, D.shifts, D.pieces, n, ()).dim != D.piece(n).dim
+        ]
+        assert got == max(unspanned)
+    assert {len(D.shifts) for D in systems} == {1, 2, 3}
