@@ -366,9 +366,9 @@ def _cmd_linkage(args):
     ring = spec.ring()
     ambient_gens = parse_expressions(_read_arg(args.ambient), ring, "polynomial")
     ideal_gens = parse_expressions(_read_arg(args.ideal), ring, "polynomial")
-    bound = args.bound
-    if bound is None:
-        bound = 2 + max(g.degree() for g in ambient_gens + ideal_gens)
+    if all(g.is_zero() for g in ambient_gens):
+        raise DomainNote("all ambient generators are zero")
+    bound = _ideal_bound(args, ambient_gens + ideal_gens)
     ambient = GradedIdeal.from_generators(ring, ambient_gens, bound)
     ideal = GradedIdeal.from_generators(ring, ideal_gens, bound)
     rep = linkage(ambient, ideal)

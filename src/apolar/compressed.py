@@ -24,7 +24,7 @@ from .duality import (
     GradedIdeal,
     InverseSystem,
     QuotientRing,
-    _contraction_span,
+    _contractions,
     catalecticant_matrix,
     dual_dim,
 )
@@ -424,7 +424,8 @@ def _full_dual_stable_at(ring, shifts, p: int) -> bool:
     """Does contraction by the weight-one variables map the full dual at
     degree -p onto the piece at degree 1-p?"""
     full = {-p: Subspace.full(ring.field, dual_dim(ring, shifts, -p))}
-    return _contraction_span(ring, shifts, full, 1 - p, ()).dim == dual_dim(ring, shifts, 1 - p)
+    target = dual_dim(ring, shifts, 1 - p)
+    return matrix_rank(ring.field, _contractions(ring, shifts, full, 1 - p), target) == target
 
 
 def converse_permissibility_check(D: InverseSystem, t=None, b=None) -> ConverseReport:

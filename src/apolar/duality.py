@@ -23,6 +23,10 @@ coordinate of M * X_i, at ``_var_step(weights, i, q_j - n - w_i)[j]``.  The
 matrix of contraction by a monomial L on a dual element f, L -> L . f, is
 the catalecticant of f, and on C = A/I every multiplication matrix is a
 combination of cached products of the variable matrices.
+
+Minimal generators on both sides, graded and filtered, generator types and
+link generator counts come from one decision, ``_uncovered``: the rows of a
+piece that the raw variable multiples or contractions from below miss.
 """
 
 from __future__ import annotations
@@ -214,7 +218,7 @@ class InverseSystem:
         return all(
             self.piece(n).contains(row)
             for n in targets
-            for row in _contraction_span(self.ring, self.shifts, self.pieces, n, ()).rows
+            for row in _contractions(self.ring, self.shifts, self.pieces, n)
         )
 
     def elements(self, n: int):
@@ -265,16 +269,13 @@ def generated_submodule(gens, lo: int | None = None) -> InverseSystem:
     return InverseSystem(ring, _generated_pieces(ring, shifts, by_degree, lo), shifts)
 
 
-def _contraction_span(ring: GradedRing, shifts: tuple, pieces: dict, n: int, rows) -> Subspace:
-    """Span in degree n of ``rows`` and of the contractions, by each variable
-    X_i, of the piece in degree n - w_i; degrees missing from ``pieces`` are
-    zero."""
-    rows = list(rows)
+def _contractions(ring: GradedRing, shifts: tuple, pieces: dict, n: int):
+    """The contractions into degree n, by each variable X_i, of the rows of
+    the piece in degree n - w_i; degrees missing from ``pieces`` are zero."""
     for i, w in enumerate(ring.weights):
         below = pieces.get(n - w)
         if below is not None:
-            rows.extend(_contract_step(ring, shifts, n - w, i, r) for r in below.rows)
-    return echelon(ring.field, rows, dual_dim(ring, shifts, n))
+            yield from (_contract_step(ring, shifts, n - w, i, r) for r in below.rows)
 
 
 def _generated_pieces(ring: GradedRing, shifts: tuple, seeds: dict, lo: int) -> dict:
@@ -282,8 +283,23 @@ def _generated_pieces(ring: GradedRing, shifts: tuple, seeds: dict, lo: int) -> 
     by the rows of ``seeds`` (degree -> coordinate rows)."""
     pieces = {}
     for n in range(lo, max(shifts) + 1):
-        pieces[n] = _contraction_span(ring, shifts, pieces, n, seeds.get(n, ()))
+        rows = [*seeds.get(n, ()), *_contractions(ring, shifts, pieces, n)]
+        pieces[n] = echelon(ring.field, rows, dual_dim(ring, shifts, n))
     return pieces
+
+
+def _uncovered(field, ncols: int, moved, rows) -> list:
+    """The rows, in order, that complete span(moved) to span(rows): the
+    generators of a piece, ``moved`` being the action from one weight below.
+
+    Every caller's invariants make the rows independent with span(moved) in
+    their span, as the counts of ``generator_type`` and ``linkage`` assume;
+    so an empty piece needs no elimination, and moved rows of rank len(rows)
+    leave nothing to complete."""
+    if not rows:
+        return []
+    covered = echelon(field, moved, ncols)
+    return [] if covered.dim == len(rows) else complete_span(covered, rows)
 
 
 def catalecticant_matrix(f: InverseElement, p: int):
@@ -343,14 +359,11 @@ class GradedIdeal:
                 raise MathDomainError(
                     "generators must be homogeneous; use FilteredIdeal for the rest"
                 )
-        by_degree = {}
-        for g in gens:
-            d = g.degree()
-            if d < bound:
-                by_degree.setdefault(d, []).append(g.coefficient_vector(d))
+        degs = [g.degree() for g in gens]
         pieces = {}
         for d in range(bound):
-            pieces[d] = _multiple_span(ring, pieces, d, by_degree.get(d, ()))
+            rows = [g.coefficient_vector(d) for g, e in zip(gens, degs) if e == d]
+            pieces[d] = echelon(ring.field, rows + [*_multiples(ring, pieces, d)], ring.dim(d))
         return cls(ring, bound, pieces, gens=gens)
 
     def piece(self, d: int) -> Subspace:
@@ -386,7 +399,7 @@ class GradedIdeal:
         return all(
             self.pieces[d].contains(row)
             for d in range(self.bound)
-            for row in _multiple_span(self.ring, self.pieces, d, ()).rows
+            for row in _multiples(self.ring, self.pieces, d)
         )
 
     def __eq__(self, other):
@@ -403,14 +416,6 @@ class GradedIdeal:
         return f"<GradedIdeal dims {dims} bound {self.bound}>"
 
 
-def _lift_row(field, row, steps, target_dim):
-    out = [field.zero] * target_dim
-    for c, t in zip(row, steps):
-        if c != 0:
-            out[t] = field.add(out[t], c)
-    return tuple(out)
-
-
 def _free_blocks(ring: GradedRing, shifts, d: int) -> tuple:
     """Layout of degree d of the free module ⊕_j A(-shifts[j]): one
     (start, width, e) per summand, whose block runs over the monomials of
@@ -424,12 +429,11 @@ def _free_blocks(ring: GradedRing, shifts, d: int) -> tuple:
     return tuple(out)
 
 
-def _multiple_span(ring: GradedRing, pieces: dict, d: int, rows, shifts=(0,)) -> Subspace:
-    """Span in degree d of ``rows`` and of the multiples, by each variable
-    X_i, of the piece in degree d - w_i; degrees missing from ``pieces`` are
-    zero.  Coordinates are those of the free module ⊕_j A(-shifts[j]), laid
-    out by ``_free_blocks``; the default is A itself."""
-    rows = list(rows)
+def _multiples(ring: GradedRing, pieces: dict, d: int, shifts=(0,)):
+    """The multiples in degree d, by each variable X_i, of the rows of the
+    piece in degree d - w_i (zero if missing from ``pieces``), in the free
+    module ⊕_j A(-shifts[j]) laid out by ``_free_blocks``; the default is A.
+    X_i sends distinct monomials to distinct ones, one slot per entry."""
     target = _free_blocks(ring, shifts, d)
     ncols = sum(width for _, width, _ in target)
     for i, w in enumerate(ring.weights):
@@ -440,8 +444,11 @@ def _multiple_span(ring: GradedRing, pieces: dict, d: int, rows, shifts=(0,)) ->
                 for (start, _, e) in target
                 for t in _var_step(ring.weights, i, e - w)
             )
-            rows.extend(_lift_row(ring.field, r, steps, ncols) for r in below.rows)
-    return echelon(ring.field, rows, ncols)
+            for r in below.rows:
+                out = [ring.field.zero] * ncols
+                for c, t in zip(r, steps):
+                    out[t] = c
+                yield out
 
 
 def apolar_annihilator(ideal: GradedIdeal) -> InverseSystem:
@@ -529,9 +536,8 @@ class FilteredIdeal:
 def _filtered_generators(algebra: TruncatedAlgebra, rows, act, element_of) -> list:
     """The rows, as elements, that the images of all rows under ``act(i, .)``
     for every variable X_i do not span."""
-    moved = [act(i, r) for r in rows for i in range(algebra.ring.nvars)]
-    covered = echelon(algebra.ring.field, moved, algebra.total_dim)
-    return [element_of(r) for r in complete_span(covered, rows)]
+    moved = (act(i, r) for r in rows for i in range(algebra.ring.nvars))
+    return [element_of(r) for r in _uncovered(algebra.ring.field, algebra.total_dim, moved, rows)]
 
 
 def filtered_minimal_generators(ideal: FilteredIdeal) -> list:
@@ -808,13 +814,11 @@ def hom_into_dual_dims(ideal: GradedIdeal, p: int) -> int:
 
 
 def dual_minimal_generators(D: InverseSystem):
-    """A deterministic minimal homogeneous generating set of a dual submodule."""
-    gens = []
-    for n, s in D.pieces.items():
-        if s.dim:
-            covered = _contraction_span(D.ring, D.shifts, D.pieces, n, ())
-            gens.extend(
-                InverseElement.from_vector(D.ring, n, row, D.shifts)
-                for row in complete_span(covered, s.rows)
-            )
-    return gens
+    """A deterministic minimal homogeneous generating set of a dual submodule:
+    the basis rows of each piece that the contractions from below miss."""
+    ring, shifts, pieces = D.ring, D.shifts, D.pieces
+    return [
+        InverseElement.from_vector(ring, n, row, shifts)
+        for n, s in pieces.items()
+        for row in _uncovered(ring.field, s.ncols, _contractions(ring, shifts, pieces, n), s.rows)
+    ]

@@ -14,9 +14,10 @@ from .duality import (
     InverseElement,
     InverseSystem,
     QuotientRing,
-    _contraction_span,
+    _contractions,
     _generated_pieces,
-    _multiple_span,
+    _multiples,
+    _uncovered,
     annihilator_of_submodule,
     apolar_annihilator,
     catalecticant_matrix,
@@ -172,11 +173,13 @@ def socle(obj) -> IntSeq:
 
 
 def generator_type(D: InverseSystem) -> IntSeq:
-    """t(q) = number of degree-(-q) elements in a minimal generating set of D,
-    computed as the codimension of the contraction image from one step below."""
+    """t(q) = number of degree-(-q) elements in a minimal generating set of D:
+    the count of basis rows of D_{-q} that the contractions of the pieces one
+    weight below do not span, the codimension of their span in D_{-q}."""
+    ring, shifts, pieces = D.ring, D.shifts, D.pieces
     return IntSeq.from_items({
-        -n: s.dim - _contraction_span(D.ring, D.shifts, D.pieces, n, ()).dim
-        for n, s in D.pieces.items()
+        -n: len(_uncovered(ring.field, s.ncols, _contractions(ring, shifts, pieces, n), s.rows))
+        for n, s in pieces.items()
         if s.dim
     })
 
@@ -334,8 +337,8 @@ def linkage(ambient: GradedIdeal, ideal: GradedIdeal) -> LinkageReport:
     gen_degs = []
     for d, piece in link.pieces.items():
         if piece.dim > ambient.piece(d).dim:
-            covered = _multiple_span(ring, link.pieces, d, ambient.piece(d).rows)
-            gen_degs.extend([d] * (piece.dim - covered.dim))
+            moved = [*ambient.piece(d).rows, *_multiples(ring, link.pieces, d)]
+            gen_degs.extend([d] * len(_uncovered(field, piece.ncols, moved, piece.rows)))
     return LinkageReport(
         link=link,
         quotient_hilbert=hilbert_function(link),

@@ -21,9 +21,10 @@ tangents" criterion used to flag elementary components.
 """
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .compressed import dimension_formulas, i_set, is_permissible
-from .duality import GradedIdeal, QuotientRing, _free_blocks, _multiple_span
+from .duality import GradedIdeal, QuotientRing, _free_blocks, _multiples, _uncovered
 from .invariants import IntSeq, is_gorenstein
 from .rings import (
     BoundExceededError,
@@ -31,6 +32,7 @@ from .rings import (
     Polynomial,
     Subspace,
     complete_span,
+    echelon,
     kernel,
     matrix_rank,
     mult_matrix,
@@ -58,24 +60,19 @@ __all__ = [
 def minimal_generators(ideal: GradedIdeal):
     """Deterministic minimal homogeneous generating set as (degree, poly) pairs.
 
-    In each degree d the span of x_i * I_{d - w_i} is completed to I_d; the
-    completing vectors are the echelon basis rows of I_d outside that span,
-    so their count equals dim I_d - dim(sum_i x_i I_{d - w_i}).
+    In each degree d, the echelon basis rows of I_d that the multiples
+    x_i * I_{d - w_i} do not span, in order (``duality._uncovered``).
     """
     if not ideal.artinian_certified:
         raise BoundExceededError(
             "truncation bound does not certify an Artinian quotient"
         )
-    out = []
-    for d in range(ideal.bound):
-        piece = ideal.pieces[d]
-        if piece.dim:
-            covered = _multiple_span(ideal.ring, ideal.pieces, d, ())
-            out.extend(
-                (d, Polynomial.from_vector(ideal.ring, d, row))
-                for row in complete_span(covered, piece.rows)
-            )
-    return out
+    ring, pieces = ideal.ring, ideal.pieces
+    return [
+        (d, Polynomial.from_vector(ring, d, row))
+        for d in range(ideal.bound)
+        for row in _uncovered(ring.field, ring.dim(d), _multiples(ring, pieces, d), pieces[d].rows)
+    ]
 
 
 def syzygies_at_degree(gens, d: int) -> Subspace:
@@ -117,11 +114,11 @@ def _minimal_syzygies(ideal: GradedIdeal, mingens, top: int) -> dict:
     minimal = {}
     for d in range(min(degs), top + 1):
         dim_I = ideal.pieces[d].dim if d < ideal.bound else ring.dim(d)
-        count = sum(w for _, w, _ in _free_blocks(ring, degs, d)) - dim_I
-        if count == 0:
+        ncols = sum(w for _, w, _ in _free_blocks(ring, degs, d))
+        if ncols == dim_I:
             continue
-        covered = _multiple_span(ring, syz, d, (), degs)
-        if covered.dim < count:
+        covered = echelon(ring.field, _multiples(ring, syz, d, degs), ncols)
+        if covered.dim < ncols - dim_I:
             full = syzygies_at_degree(polys, d)
             minimal[d] = complete_span(covered, full.rows)
             covered = full
@@ -245,8 +242,8 @@ def tnt_verdict(ideal: GradedIdeal) -> bool:
 
 
 def squared_ideal_dim(ideal: GradedIdeal, mingens, e: int) -> int:
-    """dim (I/I^2)_e, with (I^2)_e built degree by degree from the pairwise
-    generator products and the variable multiples of the degree below."""
+    """dim (I/I^2)_e, with (I^2)_e the degree-e piece of the ideal generated
+    by the pairwise generator products of degree at most e."""
     ring = ideal.ring
     if e < 0:
         return 0
@@ -259,15 +256,9 @@ def squared_ideal_dim(ideal: GradedIdeal, mingens, e: int) -> int:
         dim_I = amb
     else:
         raise BoundExceededError(f"degree {e} beyond truncation bound {ideal.bound}")
-    products = {}
-    for i, (di, gi) in enumerate(mingens):
-        for dj, gj in mingens[i:]:
-            if di + dj <= e:
-                products.setdefault(di + dj, []).append((gi * gj).coefficient_vector(di + dj))
-    square = {}
-    for d in range(e + 1):
-        square[d] = _multiple_span(ring, square, d, products.get(d, ()))
-    return dim_I - square[e].dim
+    pairs = combinations_with_replacement(mingens, 2)
+    products = [gi * gj for (di, gi), (dj, gj) in pairs if di + dj <= e]
+    return dim_I - GradedIdeal.from_generators(ring, products, e + 1).piece(e).dim
 
 
 @dataclass(frozen=True)

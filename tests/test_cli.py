@@ -292,6 +292,8 @@ class TestExitCodes:
         "power-sum-point-arity":
             ("construct", "power-sum", "--ring", "QQ[x,y]", "--points", "1,0,3",
              "--scalars", "1", "--a", "2", "--s", "2"),
+        "linkage-ambient-all-zero":
+            ("linkage", "--ring", "QQ[x,y]", "--ambient", "0, 0", "--ideal", "x"),
     }
 
     @pytest.mark.parametrize("argv", DOMAIN_INPUTS.values(), ids=DOMAIN_INPUTS.keys())
@@ -505,6 +507,15 @@ class TestGoldenBytes:
             '"result":{"double_link_returns_input":true,"generator_degrees":[3],'
             '"is_cyclic":true,"link_generators":["x^3","x^2*y + 2*x*y^2 + 4*y^3"],'
             '"quotient_hilbert":{"offset":0,"values":[1,2,3,2,1]}},'
+            '"ring":{"field":"QQ","variables":["x","y"],"weights":[1,1]}}',
+        ),
+        (
+            # the default bound skips the zero generator
+            ("linkage", "--ring", "QQ[x,y]", "--ideal", "0,x", "--ambient", "x^2,y^2"),
+            '{"provenance":{"bound":4,"bound_limited":false,"seed":null},'
+            '"result":{"double_link_returns_input":true,"generator_degrees":[1],'
+            '"is_cyclic":true,"link_generators":["x","y^2"],'
+            '"quotient_hilbert":{"offset":0,"values":[1,1]}},'
             '"ring":{"field":"QQ","variables":["x","y"],"weights":[1,1]}}',
         ),
         (

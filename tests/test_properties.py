@@ -37,6 +37,8 @@ from apolar.duality import (
     dual_minimal_generators,
     dual_vector_of,
     filtered_dual,
+    filtered_dual_generators,
+    filtered_minimal_generators,
     generated_submodule,
     hom_into_dual_dims,
 )
@@ -974,6 +976,117 @@ def test_complete_span_never_calls_rref(monkeypatch):
         rings.complete_span(covered, cands)
 
 
+def test_closure_checks_never_call_rref(monkeypatch):
+    """is_contraction_closed and is_multiplication_closed test the raw
+    contraction and multiple rows for containment, with no elimination."""
+    ring = GradedRing(("x", "y"), (1, 2), QQ)
+    graded = [
+        generated_submodule(random_dual_generators(ring, t, 8100 + k))
+        for k, t in enumerate(ACTION_TYPES)
+    ]
+    systems = graded + [shifted_dual_presentation(D).presentation for D in graded]
+    ideals = [annihilator_of_submodule(D) for D in graded]
+    hand_built = InverseSystem(ring, {-1: Subspace.full(QQ, ring.dim(1))})
+
+    def forbidden(*args):
+        raise AssertionError("a closure check called rref")
+
+    monkeypatch.setattr(rings, "rref", forbidden)
+    monkeypatch.setattr(duality, "rref", forbidden)
+    assert all(D.is_contraction_closed() for D in systems)
+    assert all(I.is_multiplication_closed() for I in ideals)
+    assert not hand_built.is_contraction_closed()
+
+
+def test_general_sextic_completes_a_span_only_in_degree_4(monkeypatch):
+    """A general ternary sextic over QQ has all 9 minimal generators in
+    degree 4: the multiples fill I_5, I_6 and I_7, so ``_uncovered`` runs
+    complete_span in degree 4 alone."""
+    ring = GradedRing.standard(QQ, 3)
+    D = generated_submodule([random_dual_element(ring, 6, splitmix64(7700))])
+    ideal = annihilator_of_submodule(D)
+    assert hilbert_function(D) == IntSeq([1, 3, 6, 10, 6, 3, 1])
+    degrees = []
+    real = duality.complete_span
+
+    def spy(covered, candidates):
+        degrees.extend(d for d, piece in ideal.pieces.items() if piece.rows is candidates)
+        return real(covered, candidates)
+
+    monkeypatch.setattr(duality, "complete_span", spy)
+    gens = tangents.minimal_generators(ideal)
+    assert [d for d, _ in gens] == [4] * 9
+    assert degrees == [4]
+
+
+# ---------------------------------------------------------------------------
+# One generator decision, duality._uncovered, against the formulation it
+# replaced: the echelon form of the moved rows completed to the piece, with
+# no shortcut for an empty piece or a moved span that already fills it.
+
+
+def _generator_inputs(ring):
+    """Graded systems of the action types and their annihilators, their
+    shifted dual presentations, filtered ideals of F_top + F_(top-2), and
+    Gorenstein ambients with an ideal of one dense form to link."""
+    graded, filtered, links = [], [], []
+    for k, t in enumerate(ACTION_TYPES):
+        stream = splitmix64(7800 + 10 * k + len(ring.var_names))
+        D = generated_submodule(random_dual_generators(ring, t, 7900 + k))
+        E = shifted_dual_presentation(D).presentation
+        graded.append((D, E, annihilator_of_submodule(D)))
+        top = 3 + k % 2
+        F = random_dual_element(ring, top, stream) + random_dual_element(ring, top - 2, stream)
+        filtered.append(filtered_dual(F)[1])
+        s = 3 + k % 3
+        Dg = generated_submodule([random_dual_element(ring, s, stream)])
+        ambient = annihilator_of_submodule(Dg)
+        form = _dense_form(ring, 1 + k % 2, stream)
+        links.append((ambient, GradedIdeal.from_generators(ring, [form], ambient.bound)))
+    return graded, filtered, links
+
+
+def _generator_outputs(graded, filtered, links):
+    def terms(elements):
+        return tuple(tuple(sorted(g.terms.items())) for g in elements)
+
+    out = []
+    for D, E, ideal in graded:
+        gens = tangents.minimal_generators(ideal)
+        out += [tuple(d for d, _ in gens), terms(g for _, g in gens)]
+        out += [terms(dual_minimal_generators(D)), terms(dual_minimal_generators(E))]
+        out += [(t.offset, t.values) for t in (generator_type(D), generator_type(E))]
+    for ideal in filtered:
+        out += [terms(filtered_minimal_generators(ideal)), terms(filtered_dual_generators(ideal))]
+    out += [linkage(ambient, ideal).generator_degrees for ambient, ideal in links]
+    return out
+
+
+@pytest.mark.parametrize("ring", ACTION_RINGS + (GradedRing.standard(GF(32003), 3),), ids=repr)
+def test_uncovered_matches_the_unshortcut_reference(monkeypatch, ring):
+    """Minimal generators on both sides, filtered generators, generator types
+    of plain and shifted duals and link generator degrees, through
+    ``_uncovered`` and through the reference; the reference sees empty
+    pieces, filled pieces and pieces with generators.  The inputs are built
+    through the reference too, so they do not depend on the routine under
+    test."""
+    kinds = set()
+
+    def reference(field, ncols, moved, rows):
+        covered = echelon(field, list(moved), ncols)
+        kinds.add((len(rows) == 0, covered.dim == len(rows)))
+        return rings.complete_span(covered, rows)
+
+    with monkeypatch.context() as patch:
+        for module in (duality, invariants, tangents):
+            patch.setattr(module, "_uncovered", reference)
+        inputs = _generator_inputs(ring)
+        kinds.clear()
+        expected = _generator_outputs(*inputs)
+    assert _typed(_generator_outputs(*inputs)) == _typed(expected)
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
 # ---------------------------------------------------------------------------
 # One term core for polynomials and dual elements.
 
@@ -1059,7 +1172,11 @@ def test_stable_from_is_the_top_generator_degree(menu_draws):
         assert got == -generator_type(D).first()
         unspanned = [
             n for n in range(D.support()[0], max(D.shifts) + 1)
-            if duality._contraction_span(D.ring, D.shifts, D.pieces, n, ()).dim != D.piece(n).dim
+            if echelon(
+                D.ring.field,
+                duality._contractions(D.ring, D.shifts, D.pieces, n),
+                dual_dim(D.ring, D.shifts, n),
+            ).dim != D.piece(n).dim
         ]
         assert got == max(unspanned)
     assert {len(D.shifts) for D in systems} == {1, 2, 3}
