@@ -42,6 +42,7 @@ from .rings import (
     TruncatedAlgebra,
     _Terms,
     _monomials_by_degree,
+    _proves_rank,
     _sub_multiple,
     _var_step,
     complete_span,
@@ -295,8 +296,13 @@ def _uncovered(field, ncols: int, moved, rows) -> list:
     Every caller's invariants make the rows independent with span(moved) in
     their span, as the counts of ``generator_type`` and ``linkage`` assume;
     so an empty piece needs no elimination, and moved rows of rank len(rows)
-    leave nothing to complete."""
+    leave nothing to complete.  Over QQ that rank is first certified mod
+    2^61 - 1 (``rings._proves_rank``), with no Fraction elimination; when
+    the certificate fails, the exact path below decides."""
     if not rows:
+        return []
+    moved = list(moved)
+    if field.p is None and _proves_rank(moved, len(rows)):
         return []
     covered = echelon(field, moved, ncols)
     return [] if covered.dim == len(rows) else complete_span(covered, rows)

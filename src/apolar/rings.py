@@ -32,6 +32,16 @@ forward order, is already the kernel's canonical echelon form.  A perp is
 taken from the smaller side: the kernel of the space's own rows when its
 dimension is at most half the ambient one, else one ``rref`` of the
 free-column basis of its own echelon form.
+
+Over QQ a full rank is certified modularly before any Fraction is
+eliminated.  When the prime P = 2^61 - 1 divides no denominator, reducing
+the entries mod P is a ring map, so a nonzero minor mod P is nonzero over
+QQ and rank_QQ >= rank_P.  ``_rank_mod`` takes rank_P by forward
+elimination over plain ints, stopping at the target; when rank_P reaches
+the most the rank can be, that is the rank over QQ.  When P divides a
+denominator, or rank_P falls short, the exact Fraction elimination runs as
+before, so every answer is exact.  Over GF(p) the same routine, with the
+field's own prime, is the rank itself.
 """
 
 from __future__ import annotations
@@ -639,7 +649,64 @@ def mat_mul(field: Field, a, b):
     return tuple(out)
 
 
+#: The prime of the rank certificate over QQ: 2^61 - 1.
+_CERT_P = (1 << 61) - 1
+
+
+def _rank_mod(p: int, rows, target: int) -> int:
+    """Rank mod p of rows of ints in range(p), by forward elimination alone,
+    stopping once it reaches ``target``.
+
+    Each row is reduced against the pivot rows kept before it and kept,
+    scaled to 1 at its first nonzero column, when a residue remains; every
+    kept row vanishes at the pivots kept before it, so one pass in order
+    reduces fully and no back-substitution is needed.
+    """
+    kept = []
+    for r in rows:
+        if len(kept) >= target:
+            break
+        for pc, prow in kept:
+            c = r[pc]
+            if c:
+                r = [(x - c * y) % p for x, y in zip(r, prow)]
+        pc = next((j for j, x in enumerate(r) if x), None)
+        if pc is not None:
+            inv = pow(r[pc], -1, p)
+            kept.append((pc, [x * inv % p for x in r]))
+    return len(kept)
+
+
+def _proves_rank(rows, target: int) -> bool:
+    """Whether the rank mod ``_CERT_P`` proves that rows of rationals have
+    rank at least ``target`` over QQ (see the module docstring); False also
+    when the prime divides a denominator."""
+    p, mod = _CERT_P, []
+    for r in rows:
+        out = []
+        for x in r:
+            if not x:
+                out.append(0)
+                continue
+            den = x.denominator % p
+            if not den:
+                return False
+            out.append(x.numerator * pow(den, -1, p) % p)
+        mod.append(out)
+    return _rank_mod(p, mod, target) == target
+
+
 def matrix_rank(field: Field, rows, ncols: int) -> int:
+    """Rank of the matrix.  Over GF(p), by ``_rank_mod`` with p the field's
+    prime.  Over QQ, the most the shape allows (its count of nonzero rows or
+    of columns) when the rank mod ``_CERT_P`` reaches it, else that of
+    ``rref``."""
+    if field.p is not None:
+        return _rank_mod(field.p, rows, ncols)
+    rows = [r for r in rows if any(r)]
+    top = min(len(rows), ncols)
+    if _proves_rank(rows, top):
+        return top
     return len(rref(field, rows, ncols)[0])
 
 

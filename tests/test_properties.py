@@ -851,6 +851,89 @@ def test_elimination_oracle_rejects_a_kernel_without_the_column_reversal(field):
     assert _kernel_failures(field, _forward_kernel) > 0
 
 
+P61 = rings._CERT_P
+RANK_FIELDS = ELIMINATION_FIELDS + (GF(P61),)
+
+
+def _rank_draws(field):
+    """The elimination draws, tall matrices of full column rank and, over
+    QQ, matrices with numerators that are multiples of 2^61 - 1 (the rank
+    falls mod that prime) or denominators it divides."""
+    stream = splitmix64(7400 + (field.p or 0) % 1000)
+    draws = _elimination_draws(field)
+    for k in range(20):
+        n = 1 + k % 5
+        draws.append(([[_entry(field, stream) or field.one for _ in range(n)]
+                       for _ in range(n + 1 + k % 3)], n))
+    if field.p is None:
+        for k in range(40):
+            m, n = 1 + k % 5, 1 + (k // 5) % 5
+            rows = [[_entry(field, stream) for _ in range(n)] for _ in range(m)]
+            for i in range(min(m, n)):
+                rows[i][i] = Fraction(1)
+            for i in range(1 + k % 2, min(m, n)):
+                scale = Fraction(P61) if k % 4 < 2 else Fraction(1, P61 * (1 + k % 3))
+                rows[i] = [x * scale for x in rows[i]]
+            if k % 3 == 0 and m > 1:
+                rows[-1] = [a + P61 * b for a, b in zip(rows[0], rows[1])]
+            draws.append((rows, n))
+    return draws
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=repr)
+def test_matrix_rank_matches_the_rank_of_rref(field):
+    """Full-row-rank, full-column-rank, rank-deficient and empty matrices,
+    given as lists and as one-pass iterators."""
+    shapes = set()
+    for rows, n in _rank_draws(field):
+        want = len(rref(field, rows, n)[0])
+        assert _typed(matrix_rank(field, iter(rows), n)) == _typed(want)
+        nonzero = sum(1 for r in rows if any(r))
+        shapes.add((want == nonzero, want == n, min(len(rows), n) == 0))
+    assert {(True, False, False), (False, True, False), (False, False, False)} <= shapes
+    assert (True, True, True) in shapes
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=repr)
+def test_matrix_rank_matches_sympy(field):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    for rows, n in _rank_draws(field):
+        if field.p is None:
+            entries = [sympy.Rational(x.numerator, x.denominator) for r in rows for x in r]
+            want = sympy.Matrix(len(rows), n, entries).rank()
+        else:
+            K = sympy.GF(field.p)
+            want = DomainMatrix([[K(x) for x in r] for r in rows], (len(rows), n), K).rank()
+        assert matrix_rank(field, rows, n) == want
+
+
+def test_matrix_rank_certificate_and_fallback(monkeypatch):
+    """Over QQ the rank mod 2^61 - 1 settles a full rank with no rref; a
+    rank that falls mod that prime, or a denominator it divides, is left to
+    rref, and so is a rank short of the shape."""
+    calls = []
+    real = rings.rref
+    monkeypatch.setattr(rings, "rref", lambda *args: calls.append(args) or real(*args))
+    half = Fraction(1, 2)
+    cases = [
+        ([[1, half], [half, 1], [0, 1]], 2, 2, False),
+        ([[1, 0], [0, P61]], 2, 2, True),
+        ([[1, Fraction(1, P61)], [P61, 1]], 2, 1, True),
+        ([[Fraction(1, P61), 0], [0, 1]], 2, 2, True),
+        ([[1, 2], [2, 4]], 2, 1, True),
+    ]
+    for rows, n, rank, exact in cases:
+        calls.clear()
+        rows = [[Fraction(x) for x in r] for r in rows]
+        assert matrix_rank(QQ, rows, n) == rank
+        assert bool(calls) == exact
+    calls.clear()
+    assert matrix_rank(F101, [[1, 2], [2, 4], [0, 1]], 2) == 2
+    assert not calls
+
+
 @pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=repr)
 def test_combination_matrix_matches_per_entry_reference(field):
     ring = GradedRing.standard(field, 3)
@@ -1001,22 +1084,29 @@ def test_closure_checks_never_call_rref(monkeypatch):
 def test_general_sextic_completes_a_span_only_in_degree_4(monkeypatch):
     """A general ternary sextic over QQ has all 9 minimal generators in
     degree 4: the multiples fill I_5, I_6 and I_7, so ``_uncovered`` runs
-    complete_span in degree 4 alone."""
+    complete_span in degree 4 alone, and the rank mod 2^61 - 1 certifies
+    those three pieces with no rref."""
     ring = GradedRing.standard(QQ, 3)
     D = generated_submodule([random_dual_element(ring, 6, splitmix64(7700))])
     ideal = annihilator_of_submodule(D)
     assert hilbert_function(D) == IntSeq([1, 3, 6, 10, 6, 3, 1])
-    degrees = []
-    real = duality.complete_span
+    degrees, widths = [], []
+    real, real_rref = duality.complete_span, rings.rref
 
     def spy(covered, candidates):
         degrees.extend(d for d, piece in ideal.pieces.items() if piece.rows is candidates)
         return real(covered, candidates)
 
+    def rref_spy(field, rows, ncols):
+        widths.append((field, ncols))
+        return real_rref(field, rows, ncols)
+
     monkeypatch.setattr(duality, "complete_span", spy)
+    monkeypatch.setattr(rings, "rref", rref_spy)
     gens = tangents.minimal_generators(ideal)
     assert [d for d, _ in gens] == [4] * 9
     assert degrees == [4]
+    assert widths == [(QQ, ring.dim(4))]
 
 
 # ---------------------------------------------------------------------------
@@ -1085,6 +1175,72 @@ def test_uncovered_matches_the_unshortcut_reference(monkeypatch, ring):
         expected = _generator_outputs(*inputs)
     assert _typed(_generator_outputs(*inputs)) == _typed(expected)
     assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def _reference_uncovered(field, ncols, moved, rows):
+    return rings.complete_span(echelon(field, list(moved), ncols), rows)
+
+
+def _certificate_guard_draws():
+    """(ncols, moved, rows) pieces over QQ that keep the invariants of
+    ``_uncovered``, with the answer and whether the rank mod 2^61 - 1 may
+    settle it: a denominator divisible by that prime (with a garbage image
+    mod it the moved rows would look independent), numerators that are
+    multiples of it (the rank falls mod it but not over QQ), and plain
+    pieces filled or short by one."""
+    q, third = Fraction(1, P61), Fraction(1, 3)
+    eye2 = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    eye3 = [tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)]
+    rows3 = [(Fraction(1), Fraction(0), third), (Fraction(0), Fraction(1), -third)]
+    return [
+        (2, [[1, q], [P61, 1]], eye2, [eye2[0]], False),
+        (2, [[q, 0], [0, 1]], eye2, [], False),
+        (3, [[1, 0, 0], [0, P61, 0], [0, 0, 2 * P61]], eye3, [], False),
+        (3, [[1, 0, 0], [0, P61, 0]], eye3, [eye3[2]], False),
+        (3, [[P61, 0, P61 * third], [0, 1, -third]], rows3, [], False),
+        (3, [[2, 0, 2 * third], [0, 3, -1]], rows3, [], True),
+        (3, [[1, 0, third], [3, 0, 1]], rows3, [rows3[1]], False),
+    ]
+
+
+def test_uncovered_certificate_guards(monkeypatch):
+    """Each guard draw matches the unshortcut reference in value and type;
+    the draws with a denominator divisible by 2^61 - 1, or whose rank falls
+    mod it, take the exact path."""
+    echelons = []
+    real = duality.echelon
+    monkeypatch.setattr(duality, "echelon", lambda *a: echelons.append(a) or real(*a))
+    for ncols, moved, rows, want, certified in _certificate_guard_draws():
+        moved = [[Fraction(x) for x in r] for r in moved]
+        echelons.clear()
+        got = duality._uncovered(QQ, ncols, iter(moved), rows)
+        assert _typed(got) == _typed(_reference_uncovered(QQ, ncols, moved, rows))
+        assert _typed(got) == _typed(want)
+        assert bool(echelons) != certified
+
+
+def test_prime_multiples_in_an_ideal_take_the_exact_path(monkeypatch):
+    """Minimal generators of (x^2 + c y^2, xy) over QQ, for c = 2^61 - 1
+    (the multiples fill I_3 but fall in rank mod that prime) and c = its
+    inverse (a denominator it divides): degree 3 is decided exactly and the
+    answer is the reference's; for c = 2, the certificate settles degree 3."""
+    ring = GradedRing.standard(QQ, 2)
+    x, y = ring.variable(0), ring.variable(1)
+    for c, exact in ((Fraction(P61), [2, 3]), (Fraction(1, P61), [2, 3]), (Fraction(2), [2])):
+        ideal = GradedIdeal.from_generators(ring, [x * x + y * y * c, x * y], 5)
+        with monkeypatch.context() as patch:
+            patch.setattr(tangents, "_uncovered", _reference_uncovered)
+            want = tangents.minimal_generators(ideal)
+        widths = []
+        real = duality.echelon
+        with monkeypatch.context() as patch:
+            patch.setattr(duality, "echelon", lambda f, r, n: widths.append(n) or real(f, r, n))
+            got = tangents.minimal_generators(ideal)
+        assert [(d, _typed(sorted(g.terms.items()))) for d, g in got] == [
+            (d, _typed(sorted(g.terms.items()))) for d, g in want
+        ]
+        assert [d for d, _ in got] == [2, 2]
+        assert [n - 1 for n in widths] == exact
 
 
 # ---------------------------------------------------------------------------
