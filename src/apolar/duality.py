@@ -41,11 +41,11 @@ from .rings import (
     Subspace,
     TruncatedAlgebra,
     _Terms,
+    _forward,
     _monomials_by_degree,
     _proves_rank,
     _sub_multiple,
     _var_step,
-    complete_span,
     echelon,
     mat_mul,
     matrix_rank,
@@ -115,7 +115,8 @@ class InverseElement(_Terms):
         body = self._body(self.ring.monomial_str(m, inverse=True), c)
         if len(self.shifts) == 1:
             return body
-        return f"e{j}" if body == "1" else f"e{j}*{body}"
+        sign, body = ("-", body[1:]) if body.startswith("-") else ("", body)
+        return f"{sign}e{j}" if body == "1" else f"{sign}e{j}*{body}"
 
     @classmethod
     def inverse_monomial(cls, ring: GradedRing, expts, coeff=1) -> "InverseElement":
@@ -289,7 +290,7 @@ def _generated_pieces(ring: GradedRing, shifts: tuple, seeds: dict, lo: int) -> 
     return pieces
 
 
-def _uncovered(field, ncols: int, moved, rows) -> list:
+def _uncovered(field, moved, rows) -> list:
     """The rows, in order, that complete span(moved) to span(rows): the
     generators of a piece, ``moved`` being the action from one weight below.
 
@@ -297,15 +298,18 @@ def _uncovered(field, ncols: int, moved, rows) -> list:
     their span, as the counts of ``generator_type`` and ``linkage`` assume;
     so an empty piece needs no elimination, and moved rows of rank len(rows)
     leave nothing to complete.  Over QQ that rank is first certified mod
-    2^61 - 1 (``rings._proves_rank``), with no Fraction elimination; when
-    the certificate fails, the exact path below decides."""
+    2^61 - 1 (``rings._proves_rank``), with no Fraction elimination.  When
+    it fails, one ``_forward`` basis decides, with no echelon form: it takes
+    the moved rows up to rank len(rows) and, if they fall short, the rows
+    that extend it are the answer."""
     if not rows:
         return []
     moved = list(moved)
     if field.p is None and _proves_rank(moved, len(rows)):
         return []
-    covered = echelon(field, moved, ncols)
-    return [] if covered.dim == len(rows) else complete_span(covered, rows)
+    basis = []
+    _forward(field, basis, moved, len(rows))
+    return [] if len(basis) == len(rows) else _forward(field, basis, rows)
 
 
 def catalecticant_matrix(f: InverseElement, p: int):
@@ -543,7 +547,7 @@ def _filtered_generators(algebra: TruncatedAlgebra, rows, act, element_of) -> li
     """The rows, as elements, that the images of all rows under ``act(i, .)``
     for every variable X_i do not span."""
     moved = (act(i, r) for r in rows for i in range(algebra.ring.nvars))
-    return [element_of(r) for r in _uncovered(algebra.ring.field, algebra.total_dim, moved, rows)]
+    return [element_of(r) for r in _uncovered(algebra.ring.field, moved, rows)]
 
 
 def filtered_minimal_generators(ideal: FilteredIdeal) -> list:
@@ -826,5 +830,5 @@ def dual_minimal_generators(D: InverseSystem):
     return [
         InverseElement.from_vector(ring, n, row, shifts)
         for n, s in pieces.items()
-        for row in _uncovered(ring.field, s.ncols, _contractions(ring, shifts, pieces, n), s.rows)
+        for row in _uncovered(ring.field, _contractions(ring, shifts, pieces, n), s.rows)
     ]

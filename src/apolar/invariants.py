@@ -178,7 +178,7 @@ def generator_type(D: InverseSystem) -> IntSeq:
     weight below do not span, the codimension of their span in D_{-q}."""
     ring, shifts, pieces = D.ring, D.shifts, D.pieces
     return IntSeq.from_items({
-        -n: len(_uncovered(ring.field, s.ncols, _contractions(ring, shifts, pieces, n), s.rows))
+        -n: len(_uncovered(ring.field, _contractions(ring, shifts, pieces, n), s.rows))
         for n, s in pieces.items()
         if s.dim
     })
@@ -338,7 +338,7 @@ def linkage(ambient: GradedIdeal, ideal: GradedIdeal) -> LinkageReport:
     for d, piece in link.pieces.items():
         if piece.dim > ambient.piece(d).dim:
             moved = [*ambient.piece(d).rows, *_multiples(ring, link.pieces, d)]
-            gen_degs.extend([d] * len(_uncovered(field, piece.ncols, moved, piece.rows)))
+            gen_degs.extend([d] * len(_uncovered(field, moved, piece.rows)))
     return LinkageReport(
         link=link,
         quotient_hilbert=hilbert_function(link),

@@ -25,6 +25,18 @@ or a prime field GF(p) (plain ints reduced mod p).  Subspaces of a graded
 piece are stored in reduced row-echelon form, so two subspaces are equal
 exactly when their stored matrices are identical.
 
+Every row reduction goes through two private helpers.  ``_reduce``
+subtracts from a vector its multiples of (pivot column, row) pairs, each
+row 1 at its pivot column; it is ``Subspace.reduce``.  ``_forward`` extends
+such a list of pairs in place: it reduces each input row against the list
+and, when a residue remains, appends it scaled to 1 at its first nonzero
+column, stopping at an optional target length.  Every appended row vanishes
+at the pivots before it, so one pass in order reduces fully.  ``rref`` is
+``_forward`` into an empty list followed by one back-substitution pass,
+last row first; ``complete_span`` is ``_forward`` seeded with an echelon
+form; the rank over GF(p) is the length ``_forward`` reaches.  Every row
+update, pivot scaling and matrix product goes through ``_sub_multiple``.
+
 A kernel costs one elimination: in the echelon form of the matrix with its
 columns reversed, the free-column basis (a 1 at each non-pivot column f and
 minus each row's entry in column f at that row's pivot), read back in the
@@ -36,12 +48,10 @@ free-column basis of its own echelon form.
 Over QQ a full rank is certified modularly before any Fraction is
 eliminated.  When the prime P = 2^61 - 1 divides no denominator, reducing
 the entries mod P is a ring map, so a nonzero minor mod P is nonzero over
-QQ and rank_QQ >= rank_P.  ``_rank_mod`` takes rank_P by forward
-elimination over plain ints, stopping at the target; when rank_P reaches
-the most the rank can be, that is the rank over QQ.  When P divides a
-denominator, or rank_P falls short, the exact Fraction elimination runs as
-before, so every answer is exact.  Over GF(p) the same routine, with the
-field's own prime, is the rank itself.
+QQ and rank_QQ >= rank_P.  ``_proves_rank`` takes rank_P by ``_forward``
+over GF(P), stopping at the target; when rank_P reaches the most the rank
+can be, that is the rank over QQ.  When P divides a denominator, or rank_P
+falls short, the exact Fraction elimination runs, so every answer is exact.
 """
 
 from __future__ import annotations
@@ -368,11 +378,13 @@ class _Terms:
 
     def _body(self, mono: str, c) -> str:
         """One term without its basis label: the coefficient, the monomial,
-        or coefficient*monomial."""
+        -monomial for a coefficient of -1, or coefficient*monomial."""
         field = self.ring.field
         if mono == "1":
             return field.coeff_str(c)
-        return mono if c == field.one else f"{field.coeff_str(c)}*{mono}"
+        if c == field.one:
+            return mono
+        return f"-{mono}" if c == -1 else f"{field.coeff_str(c)}*{mono}"
 
     def __str__(self):
         chunks = [self._term_str(k, self.terms[k]) for k in sorted(self.terms, key=self._print_key)]
@@ -408,8 +420,7 @@ class Polynomial(_Terms):
         return d, self.ring.monomial_index(d, m)
 
     def _term_str(self, m, c) -> str:
-        mono = self.ring.monomial_str(m)
-        return f"-{mono}" if c == -1 and mono != "1" else self._body(mono, c)
+        return self._body(self.ring.monomial_str(m), c)
 
     @classmethod
     def zero(cls, ring: GradedRing) -> "Polynomial":
@@ -476,26 +487,53 @@ def _sub_multiple(p, row, f, prow) -> list:
     return [(x - f * y) % p for x, y in zip(row, prow)]
 
 
-def rref(field: Field, rows, ncols: int):
-    """Reduced row echelon form.  Returns (rows, pivot_columns) as tuples."""
+def _reduce(p, basis, v):
+    """v minus its multiples of the (pivot column, row) pairs of ``basis``,
+    each row 1 at its pivot column, taken in order."""
+    for pc, row in basis:
+        if v[pc] != 0:
+            v = _sub_multiple(p, v, v[pc], row)
+    return v
+
+
+def _forward(field: Field, basis: list, rows, target: int | None = None) -> list:
+    """Extend ``basis`` in place by forward elimination; return the input
+    rows it accepted, in order.
+
+    Each row is reduced against ``basis`` and accepted when a residue
+    remains; the residue, scaled to 1 at its first nonzero column, is
+    appended with that pivot column.  Every appended row vanishes at the
+    pivots before it, so one ``_reduce`` pass in order reduces fully.  The
+    pass stops once ``basis`` holds ``target`` rows.
+    """
     p = field.p
-    mat = [list(r) for r in rows if any(x != 0 for x in r)]
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(mat):
+    accepted = []
+    for v in rows:
+        if len(basis) == target:
             break
-        sel = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        # scale the pivot to 1: inv * row = 0 - (-inv) * row
-        prow = mat[rank] = _sub_multiple(p, [0] * ncols, -field.inv(mat[rank][col]), mat[rank])
-        for i, row in enumerate(mat):
-            if i != rank and row[col] != 0:
-                mat[i] = _sub_multiple(p, row, row[col], prow)
-        pivots.append(col)
-    return tuple(tuple(r) for r in mat[: len(pivots)]), tuple(pivots)
+        r = _reduce(p, basis, v)
+        pc = next((c for c, x in enumerate(r) if x != 0), None)
+        if pc is not None:
+            accepted.append(v)
+            # scale the residue to 1 at its pivot: inv * r = 0 - (-inv) * r
+            basis.append((pc, _sub_multiple(p, [0] * len(r), -field.inv(r[pc]), r)))
+    return accepted
+
+
+def rref(field: Field, rows, ncols: int):
+    """Reduced row echelon form.  Returns (rows, pivot_columns) as tuples.
+
+    ``_forward`` keeps one row per pivot; one back-substitution pass, last
+    kept row first, reduces each row against the rows finished after it, and
+    the rows are then sorted by pivot.
+    """
+    kept = []
+    _forward(field, kept, rows, ncols)
+    done = []
+    for pc, row in reversed(kept):
+        done.append((pc, _reduce(field.p, done, row)))
+    done.sort(key=lambda pair: pair[0])
+    return tuple(tuple(r) for _, r in done), tuple(pc for pc, _ in done)
 
 
 class Subspace:
@@ -529,11 +567,7 @@ class Subspace:
 
     def reduce(self, vec):
         """Subtract the projection onto this subspace's pivot structure."""
-        v = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            if v[pc] != 0:
-                v = _sub_multiple(self.field.p, v, v[pc], row)
-        return tuple(v)
+        return tuple(_reduce(self.field.p, zip(self.pivots, self.rows), vec))
 
     def contains(self, vec) -> bool:
         return all(x == 0 for x in self.reduce(vec))
@@ -581,27 +615,9 @@ def echelon(field: Field, rows, ncols: int) -> Subspace:
 
 
 def complete_span(covered: Subspace, candidates) -> list:
-    """The candidates, in order, that complete ``covered`` to their joint span.
-
-    Each candidate is reduced against the rows of ``covered`` and the
-    residues accepted before it, and accepted when its residue is nonzero.
-    That residue is stored scaled to 1 at its first nonzero column, so every
-    stored row vanishes at the pivots stored before it and one pass in order
-    reduces fully.
-    """
-    field = covered.field
-    basis = list(zip(covered.rows, covered.pivots))
-    accepted = []
-    for v in candidates:
-        r = v
-        for row, pc in basis:
-            if r[pc] != 0:
-                r = _sub_multiple(field.p, r, r[pc], row)
-        pc = next((c for c, x in enumerate(r) if x != 0), None)
-        if pc is not None:
-            accepted.append(v)
-            basis.append((_sub_multiple(field.p, [0] * len(r), -field.inv(r[pc]), r), pc))
-    return accepted
+    """The candidates, in order, that complete ``covered`` to their joint
+    span: one ``_forward`` pass seeded with the rows of ``covered``."""
+    return _forward(covered.field, list(zip(covered.pivots, covered.rows)), candidates)
 
 
 def _free_basis(field: Field, rows, pivots, ncols: int) -> list:
@@ -630,58 +646,32 @@ def kernel(field: Field, matrix, ncols: int) -> Subspace:
 
 
 def mat_mul(field: Field, a, b):
-    """Matrix product over the field (rows x rows layout)."""
+    """Matrix product over the field (rows x rows layout): row i is the sum
+    of a[i][k] * b[k] over the nonzero a[i][k]."""
     if not a:
         return ()
     if not b:
         return tuple(() for _ in a)
-    cols = list(zip(*b))
+    p, zero = field.p, [field.zero] * len(b[0])
     out = []
     for arow in a:
-        row = []
-        for bcol in cols:
-            acc = field.zero
-            for x, y in zip(arow, bcol):
-                if x != 0 and y != 0:
-                    acc = field.add(acc, field.mul(x, y))
-            row.append(acc)
-        out.append(tuple(row))
+        acc = zero
+        for x, brow in zip(arow, b):
+            if x != 0:
+                acc = _sub_multiple(p, acc, -x, brow)
+        out.append(tuple(acc))
     return tuple(out)
 
 
-#: The prime of the rank certificate over QQ: 2^61 - 1.
-_CERT_P = (1 << 61) - 1
-
-
-def _rank_mod(p: int, rows, target: int) -> int:
-    """Rank mod p of rows of ints in range(p), by forward elimination alone,
-    stopping once it reaches ``target``.
-
-    Each row is reduced against the pivot rows kept before it and kept,
-    scaled to 1 at its first nonzero column, when a residue remains; every
-    kept row vanishes at the pivots kept before it, so one pass in order
-    reduces fully and no back-substitution is needed.
-    """
-    kept = []
-    for r in rows:
-        if len(kept) >= target:
-            break
-        for pc, prow in kept:
-            c = r[pc]
-            if c:
-                r = [(x - c * y) % p for x, y in zip(r, prow)]
-        pc = next((j for j, x in enumerate(r) if x), None)
-        if pc is not None:
-            inv = pow(r[pc], -1, p)
-            kept.append((pc, [x * inv % p for x in r]))
-    return len(kept)
+#: The field of the rank certificate over QQ: GF(2^61 - 1).
+_CERT = Field((1 << 61) - 1)
 
 
 def _proves_rank(rows, target: int) -> bool:
-    """Whether the rank mod ``_CERT_P`` proves that rows of rationals have
+    """Whether the rank over ``_CERT`` proves that rows of rationals have
     rank at least ``target`` over QQ (see the module docstring); False also
-    when the prime divides a denominator."""
-    p, mod = _CERT_P, []
+    when its prime divides a denominator."""
+    p, mod = _CERT.p, []
     for r in rows:
         out = []
         for x in r:
@@ -693,16 +683,15 @@ def _proves_rank(rows, target: int) -> bool:
                 return False
             out.append(x.numerator * pow(den, -1, p) % p)
         mod.append(out)
-    return _rank_mod(p, mod, target) == target
+    return len(_forward(_CERT, [], mod, target)) == target
 
 
 def matrix_rank(field: Field, rows, ncols: int) -> int:
-    """Rank of the matrix.  Over GF(p), by ``_rank_mod`` with p the field's
-    prime.  Over QQ, the most the shape allows (its count of nonzero rows or
-    of columns) when the rank mod ``_CERT_P`` reaches it, else that of
-    ``rref``."""
+    """Rank of the matrix.  Over GF(p), the rows one ``_forward`` pass
+    accepts.  Over QQ, the most the shape allows (its count of nonzero rows
+    or of columns) when ``_proves_rank`` reaches it, else that of ``rref``."""
     if field.p is not None:
-        return _rank_mod(field.p, rows, ncols)
+        return len(_forward(field, [], rows, ncols))
     rows = [r for r in rows if any(r)]
     top = min(len(rows), ncols)
     if _proves_rank(rows, top):

@@ -71,7 +71,7 @@ def minimal_generators(ideal: GradedIdeal):
     return [
         (d, Polynomial.from_vector(ring, d, row))
         for d in range(ideal.bound)
-        for row in _uncovered(ring.field, ring.dim(d), _multiples(ring, pieces, d), pieces[d].rows)
+        for row in _uncovered(ring.field, _multiples(ring, pieces, d), pieces[d].rows)
     ]
 
 

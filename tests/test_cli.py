@@ -528,10 +528,10 @@ class TestGoldenBytes:
             '"ring":{"field":"QQ","variables":["x","y","z"],"weights":[1,1,1]}}',
         ),
         (
-            # pins the "- 1*" text of a QQ dual coefficient of -1
+            # pins the " - x^-2" text of a QQ dual coefficient of -1
             ("annihilate", "--ring", "QQ[x,y,z]", "--ideal", "x^2+y,y^2+z,z^2+x*y"),
             '{"provenance":{"bound":4,"bound_limited":false,"seed":null},'
-            '"result":{"generators":["y^-1 - 1*x^-2"],"quotient_dim":3},'
+            '"result":{"generators":["y^-1 - x^-2"],"quotient_dim":3},'
             '"ring":{"field":"QQ","variables":["x","y","z"],"weights":[1,1,1]}}',
         ),
     ]

@@ -851,7 +851,7 @@ def test_elimination_oracle_rejects_a_kernel_without_the_column_reversal(field):
     assert _kernel_failures(field, _forward_kernel) > 0
 
 
-P61 = rings._CERT_P
+P61 = rings._CERT.p
 RANK_FIELDS = ELIMINATION_FIELDS + (GF(P61),)
 
 
@@ -1081,32 +1081,45 @@ def test_closure_checks_never_call_rref(monkeypatch):
     assert not hand_built.is_contraction_closed()
 
 
+def _forward_spy(monkeypatch, ideal=None):
+    """Record each ``_forward`` call of ``_uncovered`` as (field, target,
+    degree of the ideal piece whose rows are the input, or None)."""
+    calls = []
+    real = duality._forward
+
+    def spy(field, basis, rows, target=None):
+        pieces = ideal.pieces.items() if ideal is not None else ()
+        degree = next((d for d, piece in pieces if piece.rows is rows), None)
+        calls.append((field, target, degree))
+        return real(field, basis, rows, target)
+
+    monkeypatch.setattr(duality, "_forward", spy)
+    return calls
+
+
 def test_general_sextic_completes_a_span_only_in_degree_4(monkeypatch):
     """A general ternary sextic over QQ has all 9 minimal generators in
     degree 4: the multiples fill I_5, I_6 and I_7, so ``_uncovered`` runs
-    complete_span in degree 4 alone, and the rank mod 2^61 - 1 certifies
-    those three pieces with no rref."""
+    its exact path in degree 4 alone, where the empty moved span falls
+    short and the 9 rows of I_4 extend it; the rank mod 2^61 - 1 certifies
+    the other three pieces, and no rref runs at all."""
     ring = GradedRing.standard(QQ, 3)
     D = generated_submodule([random_dual_element(ring, 6, splitmix64(7700))])
     ideal = annihilator_of_submodule(D)
     assert hilbert_function(D) == IntSeq([1, 3, 6, 10, 6, 3, 1])
-    degrees, widths = [], []
-    real, real_rref = duality.complete_span, rings.rref
-
-    def spy(covered, candidates):
-        degrees.extend(d for d, piece in ideal.pieces.items() if piece.rows is candidates)
-        return real(covered, candidates)
+    widths = []
+    real_rref = rings.rref
 
     def rref_spy(field, rows, ncols):
         widths.append((field, ncols))
         return real_rref(field, rows, ncols)
 
-    monkeypatch.setattr(duality, "complete_span", spy)
+    calls = _forward_spy(monkeypatch, ideal)
     monkeypatch.setattr(rings, "rref", rref_spy)
     gens = tangents.minimal_generators(ideal)
     assert [d for d, _ in gens] == [4] * 9
-    assert degrees == [4]
-    assert widths == [(QQ, ring.dim(4))]
+    assert calls == [(QQ, 9, None), (QQ, None, 4)]
+    assert widths == []
 
 
 # ---------------------------------------------------------------------------
@@ -1162,8 +1175,8 @@ def test_uncovered_matches_the_unshortcut_reference(monkeypatch, ring):
     test."""
     kinds = set()
 
-    def reference(field, ncols, moved, rows):
-        covered = echelon(field, list(moved), ncols)
+    def reference(field, moved, rows):
+        covered = echelon(field, list(moved), len(rows[0]) if rows else 0)
         kinds.add((len(rows) == 0, covered.dim == len(rows)))
         return rings.complete_span(covered, rows)
 
@@ -1177,7 +1190,8 @@ def test_uncovered_matches_the_unshortcut_reference(monkeypatch, ring):
     assert kinds == {(True, True), (False, True), (False, False)}
 
 
-def _reference_uncovered(field, ncols, moved, rows):
+def _reference_uncovered(field, moved, rows):
+    ncols = len(rows[0]) if rows else 0
     return rings.complete_span(echelon(field, list(moved), ncols), rows)
 
 
@@ -1207,16 +1221,15 @@ def test_uncovered_certificate_guards(monkeypatch):
     """Each guard draw matches the unshortcut reference in value and type;
     the draws with a denominator divisible by 2^61 - 1, or whose rank falls
     mod it, take the exact path."""
-    echelons = []
-    real = duality.echelon
-    monkeypatch.setattr(duality, "echelon", lambda *a: echelons.append(a) or real(*a))
+    calls = _forward_spy(monkeypatch)
     for ncols, moved, rows, want, certified in _certificate_guard_draws():
         moved = [[Fraction(x) for x in r] for r in moved]
-        echelons.clear()
-        got = duality._uncovered(QQ, ncols, iter(moved), rows)
-        assert _typed(got) == _typed(_reference_uncovered(QQ, ncols, moved, rows))
+        assert all(len(r) == ncols for r in moved + rows)
+        calls.clear()
+        got = duality._uncovered(QQ, iter(moved), rows)
+        assert _typed(got) == _typed(_reference_uncovered(QQ, moved, rows))
         assert _typed(got) == _typed(want)
-        assert bool(echelons) != certified
+        assert bool(calls) != certified
 
 
 def test_prime_multiples_in_an_ideal_take_the_exact_path(monkeypatch):
@@ -1231,16 +1244,16 @@ def test_prime_multiples_in_an_ideal_take_the_exact_path(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(tangents, "_uncovered", _reference_uncovered)
             want = tangents.minimal_generators(ideal)
-        widths = []
-        real = duality.echelon
         with monkeypatch.context() as patch:
-            patch.setattr(duality, "echelon", lambda f, r, n: widths.append(n) or real(f, r, n))
+            calls = _forward_spy(patch, ideal)
             got = tangents.minimal_generators(ideal)
         assert [(d, _typed(sorted(g.terms.items()))) for d, g in got] == [
             (d, _typed(sorted(g.terms.items()))) for d, g in want
         ]
         assert [d for d, _ in got] == [2, 2]
-        assert [n - 1 for n in widths] == exact
+        # the exact path starts with the moved rows, its target dim I_d
+        assert [t for _, t, _ in calls if t is not None] == [ideal.piece(d).dim for d in exact]
+        assert calls[:2] == [(QQ, 2, None), (QQ, None, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -1286,6 +1299,23 @@ def test_elements_print_parse_hash_and_split_consistently(ring):
             total = total + part
         assert total == x
         assert (x - x).is_zero() and -(-x) == x
+
+
+def test_a_coefficient_of_minus_one_prints_as_a_sign():
+    """On polynomials, rank-one and shifted dual elements alike; on a shifted
+    element the sign goes before the basis label.  The rank-one text parses
+    back to the element."""
+    ring = GradedRing.standard(QQ, ("x", "y"))
+    f = InverseElement(ring, {(1, 0): 1, (0, 2): -1})
+    g = Polynomial(ring, {(1, 0): 1, (0, 2): -1, (0, 0): -1})
+    assert (str(f), str(g)) == ("x^-1 - y^-2", "-1 + x - y^2")
+    for x, mode in ((f, "inverse"), (g, "polynomial"), (-f, "inverse"), (-g, "polynomial")):
+        assert parse_expression(str(x), ring, mode) == x
+    terms = {(0, (0, 0)): 1, (1, (1, 0)): -1, (2, (0, 0)): -1}
+    shifted = InverseElement(ring, terms, (0, 1, 1))
+    assert str(shifted) == "-e2 + e0 - e1*x^-1"
+    assert str(-shifted) == "e2 - e0 + e1*x^-1"
+    assert str(shifted.scale(3)) == "-e2*3 + e0*3 - e1*3*x^-1"
 
 
 def test_addition_across_ambients_raises():
