@@ -2,10 +2,10 @@
 
 Every invocation is a pure function of (argv, stdin): seeded commands take
 ``--seed``, truncation is explicit via ``--bound`` (default: 2 plus the
-largest degree among the inputs, or for graded dual generators their socle
-degree plus 1 plus the largest weight), and the emitted bytes are identical
-across runs.  ``--json`` wraps results as {"ring", "result",
-"provenance"}; integer sequences appear as {"offset", "values"},
+largest degree among ideal generators, or for dual generators, graded or
+not, their socle degree plus 1 plus the largest weight), and the emitted
+bytes are identical across runs.  ``--json`` wraps results as {"ring",
+"result", "provenance"}; integer sequences appear as {"offset", "values"},
 integer-keyed tables as sorted [key, value] pairs.
 
 Exit codes: 0 success, 2 usage, 3 math-domain failure (non-Artinian input,

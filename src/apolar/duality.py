@@ -16,13 +16,16 @@ Free-module duals are supported through shift vectors: the dual of
 B = A(q_1) + ... + A(q_t) has degree-n basis {(j, 1/M) : wdeg M = q_j - n},
 component-major.  Shifts are normalized so the smallest is 0.
 
-Contraction by X_i is the transpose of multiplication, read off the one
-index map ``rings._var_step``: in each component, coordinate j of the
+Contraction by X_i is the transpose of multiplication, read off
+``rings._var_step``, the variable case of the one monomial index map
+``rings._product_step``: in each component, coordinate j of the
 contracted vector, for the j-th monomial M of degree q_j - n - w_i, is the
 coordinate of M * X_i, at ``_var_step(weights, i, q_j - n - w_i)[j]``.  The
 matrix of contraction by a monomial L on a dual element f, L -> L . f, is
-the catalecticant of f, and on C = A/I every multiplication matrix is a
-combination of cached products of the variable matrices.
+the catalecticant of f, a gather of f's coefficients through
+``rings._product_step``.  On C = A/I every multiplication matrix gathers
+one normal-form table of the target degree, read off the echelon form of
+I there, through the same map.
 
 Minimal generators on both sides, graded and filtered, generator types and
 link generator counts come from one decision, ``_uncovered``: the rows of a
@@ -43,11 +46,11 @@ from .rings import (
     _Terms,
     _forward,
     _monomials_by_degree,
+    _product_step,
     _proves_rank,
     _sub_multiple,
     _var_step,
     echelon,
-    mat_mul,
     matrix_rank,
     rref,
     truncate_algebra,
@@ -315,23 +318,16 @@ def _uncovered(field, moved, rows) -> list:
 def catalecticant_matrix(f: InverseElement, p: int):
     """Matrix of multiplication by a homogeneous dual element f of degree -s,
     as a map from the degree-(p+s) piece of A to the degree-p piece of the
-    dual.  Entry (u, v) is the coefficient of f on 1/(M_u * L_v).
+    dual.  Entry (u, v) is the coefficient of f on 1/(M_u * L_v): row u
+    gathers f's coefficient vector through ``_product_step`` of M_u.
     """
     if len(f.shifts) != 1:
         raise MathDomainError("catalecticants are for rank-one duals")
     s = -f.degree()
-    ring = f.ring
-    field = ring.field
-    rows_basis = ring.monomials(-p)
-    cols_basis = ring.monomials(p + s)
-    mat = []
-    for mu in rows_basis:
-        row = []
-        for lv in cols_basis:
-            key = (0, tuple(a + b for a, b in zip(mu, lv)))
-            row.append(f.terms.get(key, field.zero))
-        mat.append(tuple(row))
-    return tuple(mat)
+    vec, weights = f.coefficient_vector(-s), f.ring.weights
+    return tuple(
+        tuple(vec[k] for k in _product_step(weights, mu, p + s)) for mu in f.ring.monomials(-p)
+    )
 
 
 class GradedIdeal:
@@ -461,6 +457,14 @@ def _multiples(ring: GradedRing, pieces: dict, d: int, shifts=(0,)):
                 yield out
 
 
+def _certifying_bound(ring: GradedRing, s: int) -> int:
+    """The default truncation bound for a dual of socle degree s: s plus 1
+    plus the largest weight, the least that certifies an Artinian quotient,
+    since I_d = A_d for d > s and the full tail must be one weight-span
+    long."""
+    return s + 1 + max(ring.weights)
+
+
 def apolar_annihilator(ideal: GradedIdeal) -> InverseSystem:
     """The inverse system (0 : I) in the dual: degreewise the perp of I_p."""
     if not ideal.artinian_certified:
@@ -479,16 +483,14 @@ def annihilator_of_submodule(D: InverseSystem, bound: int | None = None) -> Grad
     D must be contraction-closed, as every InverseSystem is meant to be.
     Then psi of degree p kills all of D exactly when it kills D_{-p}, since
     the coefficient of 1/M in psi . f is the pairing of psi with M . f, which
-    lies in D_{-p}: so I_p is the perp of D_{-p}.  The default bound is the
-    socle degree s plus 1 plus the largest weight, the least that certifies
-    an Artinian quotient: I_d = A_d for d > s, and the full tail must be one
-    weight-span long.
+    lies in D_{-p}: so I_p is the perp of D_{-p}.  The bound defaults to
+    ``_certifying_bound``.
     """
     if len(D.shifts) != 1:
         raise MathDomainError("annihilator ideals are computed in rank one")
     if bound is None:
         supp = D.support()
-        bound = (-min(supp) if supp else 0) + 1 + max(D.ring.weights)
+        bound = _certifying_bound(D.ring, -min(supp) if supp else 0)
     return GradedIdeal(D.ring, bound, {p: D.piece(-p).perp() for p in range(bound)})
 
 
@@ -620,12 +622,12 @@ def filtered_dual(F: InverseElement, bound: int | None = None):
     Returns (D, I) where D spans all contractions L . F in the truncated
     dual and I = {psi : psi . F = 0} inside the truncated algebra.  The
     coefficient of 1/M in psi . F is the pairing of psi with M . F, so I is
-    the perp of D.
+    the perp of D.  The bound defaults to ``_certifying_bound``.
     """
     if F.is_zero():
         raise MathDomainError("zero dual generator")
     if bound is None:
-        bound = max(-n for n in F.support_degrees()) + 2
+        bound = _certifying_bound(F.ring, max(-n for n in F.support_degrees()))
     algebra = truncate_algebra(F.ring, bound)
     moved = _monomial_orbit(algebra, dual_vector_of(algebra, F), algebra.contract_by_var)
     space = echelon(F.ring.field, moved, algebra.total_dim)
@@ -690,17 +692,21 @@ class QuotientRing:
     """C = A/I with canonical coordinates: in each degree, the monomials at
     the non-pivot columns of I's echelon basis represent a basis of C.
 
-    Multiplication matrices are memoized: one per variable and degree, and
-    one per monomial and source degree, the product of variable matrices."""
+    Every multiplication matrix is read off one normal-form table per degree
+    D, memoized: the coordinates in C_D of each monomial of degree D.  It
+    comes straight from the reduced echelon form of I_D, with no
+    elimination: a basis monomial is its own unit vector, and the monomial
+    at the pivot of row r is minus row r at the basis columns.  Multiplying
+    by x^m sends the basis monomial u of C_d to the table row of x^m * u,
+    found through ``rings._product_step``."""
 
-    __slots__ = ("ideal", "ring", "bound", "_mats", "_monos")
+    __slots__ = ("ideal", "ring", "bound", "_forms")
 
     def __init__(self, ideal: GradedIdeal):
         self.ideal = ideal
         self.ring = ideal.ring
         self.bound = ideal.bound
-        self._mats = {}
-        self._monos = {}
+        self._forms = {}
 
     def dim(self, d: int) -> int:
         return self.ideal.quotient_dim(d)
@@ -713,60 +719,45 @@ class QuotientRing:
         red = self.ideal.piece(d).reduce(vec)
         return tuple(red[c] for c in self.basis_positions(d))
 
-    def var_matrix(self, i: int, d: int):
-        """Matrix of multiplication by variable i from C_d to C_{d+w_i}."""
-        key = (i, d)
-        if key not in self._mats:
-            ring = self.ring
-            w = ring.weights[i]
-            cols = []
-            if d + w < self.bound:
-                steps = _var_step(ring.weights, i, d)
-                for c in self.basis_positions(d):
-                    amb = [ring.field.zero] * ring.dim(d + w)
-                    amb[steps[c]] = ring.field.one
-                    cols.append(self.reduce(d + w, amb))
-            self._mats[key] = tuple(zip(*cols)) if cols else self._zero(d, w)
-        return self._mats[key]
-
-    def monomial_matrix(self, m, d: int):
-        """Matrix of multiplication by the monomial x^m from C_d to
-        C_{d + deg m}: the variable matrix of its last variable times the
-        matrix of the rest."""
-        key = (m, d)
-        if key not in self._monos:
-            ring = self.ring
-            i = max((k for k, e in enumerate(m) if e), default=None)
-            if i is None:
-                out = Subspace.full(ring.field, self.dim(d)).rows
-            else:
-                rest = m[:i] + (m[i] - 1,) + m[i + 1:]
-                below = self.monomial_matrix(rest, d)
-                step = self.var_matrix(i, d + ring.wdeg(rest))
-                out = mat_mul(ring.field, step, below) if below else self._zero(d, ring.wdeg(m))
-            self._monos[key] = out
-        return self._monos[key]
-
-    def _zero(self, d: int, e: int):
-        return tuple((self.ring.field.zero,) * self.dim(d) for _ in range(self.dim(d + e)))
+    def _normal_forms(self, d: int) -> tuple:
+        """The quotient coordinates of every monomial of degree d, in ring
+        order (see the class docstring)."""
+        if d not in self._forms:
+            field, piece = self.ring.field, self.ideal.piece(d)
+            basis, rows = piece.nonpivots(), dict(zip(piece.pivots, piece.rows))
+            eye = iter(Subspace.full(field, len(basis)).rows)
+            self._forms[d] = tuple(
+                tuple(field.neg(rows[k][b]) for b in basis) if k in rows else next(eye)
+                for k in range(piece.ncols)
+            )
+        return self._forms[d]
 
     def combination_matrix(self, terms, e: int, d: int):
         """Matrix from C_d to C_{d+e} of multiplication by the sum of c * x^m
-        over ``terms``, pairs (m, c) with m of degree e."""
-        p, out = self.ring.field.p, self._zero(d, e)
-        if out and out[0]:
-            for m, c in terms:
-                if c != 0:
-                    mat = self.monomial_matrix(m, d)
-                    out = [_sub_multiple(p, row, -c, mrow) for row, mrow in zip(out, mat)]
-        return tuple(tuple(row) for row in out)
+        over ``terms``, pairs (m, c) with m of degree e: column j sums c
+        times the table row of x^m times the j-th basis monomial."""
+        target = self.dim(d + e)
+        if not (target and self.dim(d)):
+            return ((),) * target
+        field, weights = self.ring.field, self.ring.weights
+        steps = [(_product_step(weights, m, d), c) for m, c in terms if c != 0]
+        forms, zero = self._normal_forms(d + e), (field.zero,) * target
+        cols = []
+        for b in self.basis_positions(d):
+            acc = zero
+            for step, c in steps:
+                acc = _sub_multiple(field.p, acc, -c, forms[step[b]])
+            cols.append(acc)
+        return tuple(zip(*cols))
+
+    def var_matrix(self, i: int, d: int):
+        """Matrix of multiplication by variable i from C_d to C_{d+w_i}."""
+        unit = tuple(int(k == i) for k in range(self.ring.nvars))
+        return self.combination_matrix([(unit, self.ring.field.one)], self.ring.weights[i], d)
 
     def mult_matrix(self, f: Polynomial, d: int):
         """Matrix of multiplication by a homogeneous f from C_d to C_{d+deg f}."""
-        e = f.degree()
-        if d + e >= self.bound and self.dim(d + e):
-            raise BoundExceededError("target degree beyond the truncation bound")
-        return self.combination_matrix(f.terms.items(), e, d)
+        return self.combination_matrix(f.terms.items(), f.degree(), d)
 
     def top_degree(self) -> int:
         tops = [d for d in range(self.bound) if self.dim(d)]

@@ -7,13 +7,14 @@ lexicographically on exponent vectors, largest first; that order fixes the
 column indexing of every matrix produced here and makes all downstream
 computations reproducible bit for bit.
 
-The variables act through one index map, ``_var_step(weights, i, d)``: for
-each monomial of degree d, in that order, the index of its product with X_i
-among the monomials of degree d + w_i.  Multiplication by X_i sends basis
-vector j of A_d to basis vector step[j] of A_{d+w_i}; contraction by X_i is
-its transpose, reading coordinate step[j] of a degree-(d + w_i) dual vector
-into coordinate j of the degree-d one.  Every variable multiplication and
-contraction matrix in the package is read off this map.
+Monomials act through one index map, ``_product_step(weights, m, d)``: for
+each monomial of degree d, in that order, the index of its product with x^m
+among the monomials of degree d + deg m.  Multiplication by x^m sends basis
+vector j of A_d to basis vector step[j] of A_{d + deg m}; contraction by x^m
+is its transpose, reading coordinate step[j] of a degree-(d + deg m) dual
+vector into coordinate j of the degree-d one.  ``_var_step(weights, i, d)``
+is the case of the variable X_i.  Every multiplication, contraction and
+catalecticant matrix in the package is read off this map.
 
 Polynomials and the dual elements of ``duality`` share one term core: a
 map from keys to nonzero coefficients that normalizes, compares, adds,
@@ -221,11 +222,19 @@ def _monomial_positions(weights: tuple, d: int) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
+def _product_step(weights: tuple, m: tuple, d: int) -> tuple:
+    """For each monomial of degree d, its index after multiplying by x^m
+    among the monomials of degree d + deg m; empty when d < 0."""
+    pos = _monomial_positions(weights, d + sum(w * e for w, e in zip(weights, m)))
+    return tuple(
+        pos[tuple(a + b for a, b in zip(u, m))] for u in _monomials_by_degree(weights, d)
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def _var_step(weights: tuple, i: int, d: int) -> tuple:
-    """For each monomial of degree d, its index after multiplying by X_i
-    among the monomials of degree d + w_i; empty when d < 0."""
-    pos = _monomial_positions(weights, d + weights[i])
-    return tuple(pos[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in _monomials_by_degree(weights, d))
+    """``_product_step`` of the unit exponent vector of X_i."""
+    return _product_step(weights, tuple(int(k == i) for k in range(len(weights))), d)
 
 
 @dataclass(frozen=True)
@@ -697,28 +706,6 @@ def matrix_rank(field: Field, rows, ncols: int) -> int:
     if _proves_rank(rows, top):
         return top
     return len(rref(field, rows, ncols)[0])
-
-
-def mult_matrix(ring: GradedRing, f: Polynomial, d: int, e: int | None = None):
-    """Matrix of multiplication by f from the degree-d piece to degree d+e.
-
-    ``e`` defaults to the degree of f, which must then be homogeneous and
-    nonzero; passing ``e`` explicitly shapes the zero map.
-    """
-    if e is None:
-        e = f.degree()
-    elif not f.is_zero() and f.degree() != e:
-        raise MathDomainError("polynomial degree does not match the requested shift")
-    field = ring.field
-    src = ring.monomials(d)
-    nrows = ring.dim(d + e)
-    mat = [[field.zero] * len(src) for _ in range(nrows)]
-    for j, m in enumerate(src):
-        for lm, c in f.terms.items():
-            target = tuple(a + b for a, b in zip(lm, m))
-            i = ring.monomial_index(d + e, target)
-            mat[i][j] = field.add(mat[i][j], c)
-    return tuple(tuple(r) for r in mat)
 
 
 class TruncatedAlgebra:

@@ -35,7 +35,6 @@ from .rings import (
     echelon,
     kernel,
     matrix_rank,
-    mult_matrix,
 )
 
 __all__ = [
@@ -80,7 +79,9 @@ def syzygies_at_degree(gens, d: int) -> Subspace:
 
     Coordinates are blocked generator by generator, each block running over
     the monomials of its degree in ring order; blocks with d < deg g_i are
-    empty.  The result is a canonical subspace of the blocked source.
+    empty.  Block i is multiplication by g_i in A, read as the quotient by
+    the zero ideal.  The result is a canonical subspace of the blocked
+    source.
     """
     gens = list(gens)
     if not gens:
@@ -93,7 +94,8 @@ def syzygies_at_degree(gens, d: int) -> Subspace:
     total = sum(w for _, w, _ in blocks)
     if total == 0:
         return Subspace.zero(field, 0)
-    mats = [mult_matrix(ring, g, e) for g, (_, w, e) in zip(gens, blocks) if w]
+    A = QuotientRing(GradedIdeal(ring, d + 1, {}))
+    mats = [A.mult_matrix(g, e) for g, (_, w, e) in zip(gens, blocks) if w]
     matrix = [[c for m in mats for c in m[t]] for t in range(ring.dim(d))]
     return kernel(field, matrix, total)
 

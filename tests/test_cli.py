@@ -553,15 +553,20 @@ class TestGoldenBytes:
         assert out == expected + "\n"
 
     def test_weighted_default_bound_certifies_the_quotient(self, capsys):
-        """Graded dual generators default to the socle degree + 1 + the
-        largest weight, which certifies an Artinian quotient on a weighted
-        ring: the bytes of the explicit --bound 6 entry, and the tangent
-        profile of the --bound 8 entry."""
+        """Dual generators, graded or one inhomogeneous, default to the socle
+        degree + 1 + the largest weight, which certifies an Artinian quotient
+        on a weighted ring: the bytes of the explicit --bound 6 and --bound 7
+        entries, and the tangent profile of the --bound 8 entry."""
         golden = dict(self.GOLDEN)
         argv = ("annihilate", "--ring", "QQ[x,y:2]", "--inverse", "x^-3+x^-1*y^-1")
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         assert out == golden[argv + ("--bound", "6")] + "\n"
+        argv = ("assoc-graded", "--ring", "GF(101)[x,y:2,z]",
+                "--inverse", "x^-4 + y^-2 + x^-1*z^-2 + z^-1")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out == golden[argv + ("--bound", "7")] + "\n"
         argv = ("tangents", "--ring", "GF(101)[x,y:2,z]", "--inverse", "x^-4+y^-2+z^-4")
         code, doc = run_json(capsys, *argv)
         assert code == 0

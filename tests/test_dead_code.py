@@ -41,3 +41,35 @@ def test_every_definition_in_the_package_is_referenced():
                     used.update(re.findall(r"\w+", node.value))
     unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
     assert not unused, "defined but never referenced: " + ", ".join(unused)
+
+
+def _exported(tree) -> set:
+    """The names a module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_every_import_in_the_package_is_used():
+    """No module imports a name it never uses; ``__all__`` re-exports and
+    ``__future__`` imports are exempt."""
+    unused = []
+    for path, tree in _trees("src/apolar"):
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used and name not in _exported(tree)
+        ]
+    assert not unused, "imported but never used: " + ", ".join(sorted(unused))

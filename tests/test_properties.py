@@ -481,6 +481,37 @@ def _reference_shifted_pieces(D):
     return InverseSystem(ring, pieces, shifts)
 
 
+def _assert_product_steps(ring):
+    """``_product_step`` against exponent-vector sums, and ``_var_step`` as
+    its case of a unit exponent vector, from an empty degree up."""
+    w = ring.weights
+    for d in range(-1, 5):
+        for e in range(4):
+            for m in ring.monomials(e):
+                want = tuple(
+                    ring.monomial_index(d + e, tuple(a + b for a, b in zip(u, m)))
+                    for u in ring.monomials(d)
+                )
+                assert rings._product_step(w, m, d) == want
+        for i in range(ring.nvars):
+            unit = tuple(int(k == i) for k in range(ring.nvars))
+            assert rings._var_step(w, i, d) == rings._product_step(w, unit, d)
+
+
+def _assert_normal_forms_reduce(C):
+    """Each row of a normal-form table is ``C.reduce`` of its monomial's unit
+    vector, in value and type."""
+    field = C.ring.field
+    for d in range(C.bound):
+        n = C.ring.dim(d)
+        forms = C._normal_forms(d)
+        assert len(forms) == n
+        for k, row in enumerate(forms):
+            unit = [field.zero] * n
+            unit[k] = field.one
+            assert _typed(row) == _typed(C.reduce(d, unit))
+
+
 def _dense_form(ring, d, stream):
     """A degree-d form with every coefficient nonzero."""
     return Polynomial.from_vector(
@@ -505,6 +536,7 @@ def test_variable_action_matches_polynomial_references(ring):
     M_fg = M_f M_g on C.  Types with 2-3 generators give shifted duals with
     2-3 components."""
     field = ring.field
+    _assert_product_steps(ring)
     presentations = 0
     for k, t in enumerate(ACTION_TYPES):
         stream = splitmix64(8000 + 10 * k + len(ring.var_names))
@@ -534,14 +566,15 @@ def test_variable_action_matches_polynomial_references(ring):
                     assert _contract_step(ring, E.shifts, n, i, row) == moved
 
         C = QuotientRing(ideal)
+        _assert_normal_forms_reduce(C)
         top = C.top_degree()
         for e in (1, 2):
             f = _dense_form(ring, e, stream)
             for d in range(top + 1 - e):
                 assert C.mult_matrix(f, d) == _reference_mult_matrix(C, f, d)
                 for m in ring.monomials(e):
-                    ref = _reference_mult_matrix(C, Polynomial.monomial(ring, m), d)
-                    assert C.monomial_matrix(m, d) == ref
+                    x_m = Polynomial.monomial(ring, m)
+                    assert C.mult_matrix(x_m, d) == _reference_mult_matrix(C, x_m, d)
         f, g = _dense_form(ring, 2, stream), _dense_form(ring, 1, stream)
         for d in range(top - 2):
             if C.dim(d) and C.dim(d + 1) and C.dim(d + 3):
@@ -744,10 +777,12 @@ def _reference_reduce(field, space, vec):
 
 
 def _reference_combination_matrix(C, terms, e, d):
+    """The sum of c times the polynomial-product reference for x^m, entry by
+    entry."""
     field = C.ring.field
-    out = [list(row) for row in C._zero(d, e)]
+    out = [[field.zero] * C.dim(d) for _ in range(C.dim(d + e))]
     for m, c in terms:
-        for row, mrow in zip(out, C.monomial_matrix(m, d)):
+        for row, mrow in zip(out, _reference_mult_matrix(C, Polynomial.monomial(C.ring, m), d)):
             for j, x in enumerate(mrow):
                 if x != 0 and c != 0:
                     row[j] = field.add(row[j], field.mul(c, x))
@@ -940,11 +975,35 @@ def test_combination_matrix_matches_per_entry_reference(field):
     x, y, z = (ring.variable(i) for i in range(3))
     C = QuotientRing(GradedIdeal.from_generators(ring, [x * x - y * z, y * y, z ** 3, x * y], 6))
     stream = splitmix64(7200 + (field.p or 0))
+    _assert_normal_forms_reduce(C)
     for e in range(3):
         for d in range(5):
             terms = [(m, _entry(field, stream)) for m in ring.monomials(e)]
             got = C.combination_matrix(terms, e, d)
             assert _typed(got) == _typed(_reference_combination_matrix(C, terms, e, d))
+
+
+def test_hom_dims_and_socle_multiply_without_mat_mul(monkeypatch, link_draws):
+    """Every multiplication matrix on C = A/I is gathered from a normal-form
+    table: ``hom_dims`` and ``socle`` run no matrix product, which the spy
+    does see in ``linkage``."""
+    calls = []
+    real = rings.mat_mul
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (rings, duality, invariants, tangents):
+        if hasattr(module, "mat_mul"):
+            monkeypatch.setattr(module, "mat_mul", spy)
+    for ambient, ideal, _, _ in link_draws[::4]:
+        assert tangents.hom_dims(ambient).total > 0
+        assert socle(ambient).sum() == 1
+        assert not calls
+        linkage(ambient, ideal)
+        assert calls
+        calls.clear()
 
 
 @pytest.mark.parametrize("field", (QQ, F101), ids=repr)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apolar.duality import GradedIdeal, QuotientRing
 from apolar.rings import (
     GF,
     QQ,
@@ -18,7 +19,6 @@ from apolar.rings import (
     kernel,
     mat_mul,
     monomials_of_degree,
-    mult_matrix,
     rref,
     truncate_algebra,
 )
@@ -85,21 +85,27 @@ def test_field_arithmetic():
         GF(100)
 
 
+def _ambient(ring, top):
+    """A itself, as the quotient by the zero ideal, up to degree ``top``."""
+    return QuotientRing(GradedIdeal(ring, top + 1, {}))
+
+
 def test_mult_matrix_examples():
+    A = _ambient(R2, 2)
     x = R2.variable(0)
-    assert mult_matrix(R2, x, 0) == ((1,), (0,))
+    assert A.mult_matrix(x, 0) == ((1,), (0,))
     z = Polynomial.zero(R2)
-    assert mult_matrix(R2, z, 1, e=1) == ((0, 0), (0, 0), (0, 0))
+    assert A.combination_matrix(z.terms.items(), 1, 1) == ((0, 0), (0, 0), (0, 0))
     with pytest.raises(MathDomainError):
-        mult_matrix(R2, z, 1)  # the zero polynomial has no degree
+        A.mult_matrix(z, 1)  # the zero polynomial has no degree
     xy = R2.variable(0) + R2.variable(1)
-    assert mult_matrix(R2, xy, 1) == ((1, 0), (1, 1), (0, 1))
+    assert A.mult_matrix(xy, 1) == ((1, 0), (1, 1), (0, 1))
 
 
 def test_mult_matrix_rejects_inhomogeneous():
     f = R2.variable(0) + Polynomial.one(R2)
     with pytest.raises(MathDomainError):
-        mult_matrix(R2, f, 1)
+        _ambient(R2, 2).mult_matrix(f, 1)
 
 
 @given(
@@ -112,8 +118,9 @@ def test_mult_matrix_multiplicative(d, e1, e2):
     ring = GradedRing.standard(GF(7), ["x", "y"])
     f = Polynomial(ring, {(e1, 0): 1, (0, e1): 2})
     g = Polynomial(ring, {(e2, 0): 3, (0, e2): 1})
-    lhs = mult_matrix(ring, f * g, d, e=e1 + e2)
-    rhs = mat_mul(ring.field, mult_matrix(ring, f, d + e2, e=e1), mult_matrix(ring, g, d, e=e2))
+    A = _ambient(ring, d + e1 + e2)
+    lhs = A.mult_matrix(f * g, d)
+    rhs = mat_mul(ring.field, A.mult_matrix(f, d + e2), A.mult_matrix(g, d))
     assert lhs == rhs
 
 

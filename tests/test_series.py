@@ -225,9 +225,8 @@ def _all_injective_below(ring, forms, n, N):
 
 
 def _ambient_mult(ring, f, p):
-    from apolar.rings import mult_matrix
-
-    return mult_matrix(ring, f, p)
+    """Multiplication by f out of degree p of A, the quotient by zero."""
+    return QuotientRing(GradedIdeal(ring, p + f.degree() + 1, {})).mult_matrix(f, p)
 
 
 class TestFroeberg:
