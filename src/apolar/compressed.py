@@ -330,6 +330,30 @@ def _module_dims(D: InverseSystem):
     return dims
 
 
+def _against_iset(D: InverseSystem, t, b, stated: bool):
+    """(t, its I-set, D's multilevel profile, whether every filtration row of
+    D equals the I-set's); t defaults to D's generator type, b to D's ambient
+    dimensions.  A ``stated`` t that D lacks is refused before the I-set is
+    taken; any other t must be permissible, and one D lacks matches nothing."""
+    gt = generator_type(D)
+    t = gt if t is None else _as_type(t)
+    if stated and gt != t:
+        raise MathDomainError("module does not have the stated socle type")
+    rep = i_set(t, D.ring, _module_dims(D) if b is None else b)
+    if not (stated or is_permissible(rep).permissible):
+        raise MathDomainError(
+            "socle type is not permissible; no module realizes its I-set"
+        )
+    if gt != t:
+        return t, rep, None, False
+    prof = multilevel_profile(D)
+    match = all(
+        prof.row(m) == rep.hI_m(m)
+        for m in range(max(rep.s, prof.socle_degree) + 2)
+    )
+    return t, rep, prof, match
+
+
 def is_I_compressed(D: InverseSystem, t=None, b=None) -> bool:
     """Whether D realizes the full I-set of the socle type t.
 
@@ -338,20 +362,7 @@ def is_I_compressed(D: InverseSystem, t=None, b=None) -> bool:
     type defaults to the generator type of D; a non-permissible type is
     rejected, since no module realizes its I-set.
     """
-    gt = generator_type(D)
-    t = gt if t is None else _as_type(t)
-    rep = i_set(t, D.ring, _module_dims(D) if b is None else b)
-    if not is_permissible(rep).permissible:
-        raise MathDomainError(
-            "socle type is not permissible; no module realizes its I-set"
-        )
-    if gt != t:
-        return False
-    prof = multilevel_profile(D)
-    return all(
-        prof.row(m) == rep.hI_m(m)
-        for m in range(max(rep.s, prof.socle_degree) + 2)
-    )
+    return _against_iset(D, t, b, stated=False)[3]
 
 
 @dataclass(frozen=True)
@@ -374,12 +385,7 @@ class BoundCheck:
 
 def compressed_bound_check(D: InverseSystem, t=None, b=None) -> BoundCheck:
     """Verify h_m(p) <= hI_m(p) levelwise and the rank/beta equality pattern."""
-    gt = generator_type(D)
-    t = gt if t is None else _as_type(t)
-    if gt != t:
-        raise MathDomainError("module does not have the stated socle type")
-    rep = i_set(t, D.ring, _module_dims(D) if b is None else b)
-    prof = multilevel_profile(D)
+    t, rep, prof, _ = _against_iset(D, t, b, stated=True)
     ok = True
     rows_equal, rank, beta = [], [], []
     for m in range(rep.s + 2):
@@ -431,16 +437,7 @@ def _full_dual_stable_at(ring, shifts, p: int) -> bool:
 def converse_permissibility_check(D: InverseSystem, t=None, b=None) -> ConverseReport:
     """From a module whose filtration matches its I-set, recover that the
     socle type vanishes below b1 and (with clause (d)) is permissible."""
-    gt = generator_type(D)
-    t = gt if t is None else _as_type(t)
-    if gt != t:
-        raise MathDomainError("module does not have the stated socle type")
-    rep = i_set(t, D.ring, _module_dims(D) if b is None else b)
-    prof = multilevel_profile(D)
-    applicable = all(
-        prof.row(m) == rep.hI_m(m)
-        for m in range(max(rep.s, prof.socle_degree) + 2)
-    )
+    t, rep, _, applicable = _against_iset(D, t, b, stated=True)
     if not applicable:
         return ConverseReport(
             applicable=False,

@@ -364,6 +364,21 @@ class AmbientQuotientReport:
     zero: bool
 
 
+def _gorenstein_ambient(ideal: GradedIdeal, f: InverseElement):
+    """(a, the ambient Hilbert function) for f of degree -a, once the ambient
+    quotient is checked Artinian within its bound and Gorenstein."""
+    if not ideal.artinian_certified:
+        raise BoundExceededError("ambient quotient not Artinian within bound")
+    if not is_gorenstein(ideal):
+        raise MathDomainError("ambient quotient is not Gorenstein")
+    return -f.degree(), hilbert_function(ideal)
+
+
+def _predicted_h(ambient_h: IntSeq, wstar, n: int, a: int) -> IntSeq:
+    """The w* prediction: h(q) = a(q) - w*(-q) for q > -n, a(q) otherwise."""
+    return IntSeq([ambient_h[q] if q <= -n else ambient_h[q] - wstar[-q] for q in range(a + 1)])
+
+
 def gorenstein_ambient_quotient(ideal: GradedIdeal, f: InverseElement, forms) -> AmbientQuotientReport:
     """Contract the dual socle generator of a Gorenstein ambient by the given
     forms and compare the resulting Hilbert function with the w* prediction:
@@ -371,12 +386,7 @@ def gorenstein_ambient_quotient(ideal: GradedIdeal, f: InverseElement, forms) ->
     prediction is h(q) = a(q) - w*(-q) for q > -n and h(q) = a(q) otherwise.
     """
     ring = ideal.ring
-    if not ideal.artinian_certified:
-        raise BoundExceededError("ambient quotient not Artinian within bound")
-    if not is_gorenstein(ideal):
-        raise MathDomainError("ambient quotient is not Gorenstein")
-    a = -f.degree()
-    ambient_h = hilbert_function(ideal)
+    a, ambient_h = _gorenstein_ambient(ideal, f)
     if ambient_h.last() != a:
         raise MathDomainError(
             f"f has degree {-a} but the ambient socle degree is {ambient_h.last()}"
@@ -413,13 +423,7 @@ def gorenstein_ambient_quotient(ideal: GradedIdeal, f: InverseElement, forms) ->
     h = hilbert_function(D)
     t = generator_type(D)
     wstar, n, limited = wstar_window(dual_series(ambient_h, 1), t, a)
-    n_eff = 1 if n is None else n
-    predicted_h = IntSeq(
-        [
-            ambient_h[qq] if qq <= -n_eff else ambient_h[qq] - wstar[-qq]
-            for qq in range(a + 1)
-        ]
-    )
+    predicted_h = _predicted_h(ambient_h, wstar, 1 if n is None else n, a)
     map_shapes = {}
     for d in range(-a, 1):
         target = ambient_h[-d]
@@ -481,12 +485,7 @@ def prnonempty_construct(ideal: GradedIdeal, f: InverseElement, t, n: int) -> Pr
     ring = ideal.ring
     if any(w != 1 for w in ring.weights):
         raise MathDomainError("the power-of-variable recipe needs a standard grading")
-    if not ideal.artinian_certified:
-        raise BoundExceededError("ambient quotient not Artinian within bound")
-    if not is_gorenstein(ideal):
-        raise MathDomainError("ambient quotient is not Gorenstein")
-    a = -f.degree()
-    ambient_h = hilbert_function(ideal)
+    a, ambient_h = _gorenstein_ambient(ideal, f)
     r = ring.nvars
     if ambient_h[1] != r:
         raise MathDomainError("ambient quotient is not generated in degree 1")
@@ -555,12 +554,7 @@ def prnonempty_construct(ideal: GradedIdeal, f: InverseElement, t, n: int) -> Pr
     D = generated_submodule([contract(g, f) for g in forms])
     h = hilbert_function(D)
     realized_t = generator_type(D)
-    predicted_h = IntSeq(
-        [
-            ambient_h[qq] if qq <= -n else ambient_h[qq] - wstar[-qq]
-            for qq in range(a + 1)
-        ]
-    )
+    predicted_h = _predicted_h(ambient_h, wstar, n, a)
     return PrNonemptyReport(
         D=D,
         forms=tuple(forms),

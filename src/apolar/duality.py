@@ -208,9 +208,6 @@ class InverseSystem:
     def support(self) -> tuple:
         return tuple(sorted(n for n, s in self.pieces.items() if s.dim))
 
-    def total_dim(self) -> int:
-        return sum(s.dim for s in self.pieces.values())
-
     def socle_degree(self) -> int:
         """Largest q with a nonzero piece in degree -q."""
         supp = self.support()
@@ -339,9 +336,9 @@ class GradedIdeal:
     full weight-span long; ``artinian_certified`` checks that.
     """
 
-    __slots__ = ("ring", "bound", "pieces", "saturated_from", "gens")
+    __slots__ = ("ring", "bound", "pieces", "saturated_from")
 
-    def __init__(self, ring: GradedRing, bound: int, pieces: dict, gens=None):
+    def __init__(self, ring: GradedRing, bound: int, pieces: dict):
         self.ring = ring
         self.bound = bound
         self.pieces = {d: pieces[d] for d in range(bound) if d in pieces}
@@ -355,7 +352,6 @@ class GradedIdeal:
             else:
                 break
         self.saturated_from = start if start < bound else None
-        self.gens = list(gens) if gens else None
 
     @classmethod
     def from_generators(cls, ring: GradedRing, gens, bound: int) -> "GradedIdeal":
@@ -366,11 +362,12 @@ class GradedIdeal:
                     "generators must be homogeneous; use FilteredIdeal for the rest"
                 )
         degs = [g.degree() for g in gens]
-        pieces = {}
+        pieces, rows = {}, {}
         for d in range(bound):
-            rows = [g.coefficient_vector(d) for g, e in zip(gens, degs) if e == d]
-            pieces[d] = echelon(ring.field, rows + [*_multiples(ring, pieces, d)], ring.dim(d))
-        return cls(ring, bound, pieces, gens=gens)
+            seeds = [g.coefficient_vector(d) for g, e in zip(gens, degs) if e == d]
+            pieces[d] = echelon(ring.field, seeds + [*_multiples(ring, rows, d)], ring.dim(d))
+            rows[d] = pieces[d].rows
+        return cls(ring, bound, pieces)
 
     def piece(self, d: int) -> Subspace:
         if d < 0:
@@ -402,10 +399,11 @@ class GradedIdeal:
         )
 
     def is_multiplication_closed(self) -> bool:
+        rows = {d: s.rows for d, s in self.pieces.items()}
         return all(
             self.pieces[d].contains(row)
             for d in range(self.bound)
-            for row in _multiples(self.ring, self.pieces, d)
+            for row in _multiples(self.ring, rows, d)
         )
 
     def __eq__(self, other):
@@ -435,22 +433,22 @@ def _free_blocks(ring: GradedRing, shifts, d: int) -> tuple:
     return tuple(out)
 
 
-def _multiples(ring: GradedRing, pieces: dict, d: int, shifts=(0,)):
-    """The multiples in degree d, by each variable X_i, of the rows of the
-    piece in degree d - w_i (zero if missing from ``pieces``), in the free
-    module ⊕_j A(-shifts[j]) laid out by ``_free_blocks``; the default is A.
-    X_i sends distinct monomials to distinct ones, one slot per entry."""
+def _multiples(ring: GradedRing, rows: dict, d: int, shifts=(0,)):
+    """The multiples in degree d, by each variable X_i, of ``rows[d - w_i]``
+    (no rows if that degree is missing), in the free module
+    ⊕_j A(-shifts[j]) laid out by ``_free_blocks``; the default is A.  X_i
+    sends distinct monomials to distinct ones, one slot per entry."""
     target = _free_blocks(ring, shifts, d)
     ncols = sum(width for _, width, _ in target)
     for i, w in enumerate(ring.weights):
-        below = pieces.get(d - w)
+        below = rows.get(d - w)
         if below is not None:
             steps = tuple(
                 start + t
                 for (start, _, e) in target
                 for t in _var_step(ring.weights, i, e - w)
             )
-            for r in below.rows:
+            for r in below:
                 out = [ring.field.zero] * ncols
                 for c, t in zip(r, steps):
                     out[t] = c
@@ -502,12 +500,11 @@ class FilteredIdeal:
     """An ideal of the truncated algebra, one subspace of the total space,
     closed under multiplication by every variable mod the bound."""
 
-    __slots__ = ("algebra", "space", "gens")
+    __slots__ = ("algebra", "space")
 
-    def __init__(self, algebra: TruncatedAlgebra, space: Subspace, gens=None):
+    def __init__(self, algebra: TruncatedAlgebra, space: Subspace):
         self.algebra = algebra
         self.space = space
-        self.gens = list(gens) if gens else None
 
     @classmethod
     def from_generators(cls, algebra: TruncatedAlgebra, gens) -> "FilteredIdeal":
@@ -519,7 +516,7 @@ class FilteredIdeal:
             if not g.is_zero()
             for row in _monomial_orbit(algebra, algebra.vector_of(g), algebra.multiply_by_var)
         ]
-        return cls(algebra, echelon(algebra.ring.field, rows, algebra.total_dim), gens=gens)
+        return cls(algebra, echelon(algebra.ring.field, rows, algebra.total_dim))
 
     def quotient_total_dim(self) -> int:
         return self.algebra.total_dim - self.space.dim
@@ -571,17 +568,13 @@ def filtered_dual_generators(ideal: FilteredIdeal) -> list:
 
 class FilteredDual:
     """A submodule of the dual of a truncated algebra: a subspace of the
-    total dual space (blocks indexed by |degree|), plus its generators."""
+    total dual space (blocks indexed by |degree|)."""
 
-    __slots__ = ("algebra", "space", "gens")
+    __slots__ = ("algebra", "space")
 
-    def __init__(self, algebra: TruncatedAlgebra, space: Subspace, gens=None):
+    def __init__(self, algebra: TruncatedAlgebra, space: Subspace):
         self.algebra = algebra
         self.space = space
-        self.gens = list(gens) if gens else None
-
-    def total_dim(self) -> int:
-        return self.space.dim
 
 
 def dual_vector_of(algebra: TruncatedAlgebra, f: InverseElement):
@@ -631,7 +624,7 @@ def filtered_dual(F: InverseElement, bound: int | None = None):
     algebra = truncate_algebra(F.ring, bound)
     moved = _monomial_orbit(algebra, dual_vector_of(algebra, F), algebra.contract_by_var)
     space = echelon(F.ring.field, moved, algebra.total_dim)
-    return FilteredDual(algebra, space, gens=[F]), FilteredIdeal(algebra, space.perp())
+    return FilteredDual(algebra, space), FilteredIdeal(algebra, space.perp())
 
 
 def _initial_form_pieces(field, widths, rows, pivots) -> list:

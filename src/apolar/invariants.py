@@ -335,9 +335,10 @@ def linkage(ambient: GradedIdeal, ideal: GradedIdeal) -> LinkageReport:
     # minimal module generators of the link mod J: in each degree, the part
     # of the link outside J and the variable multiples of the link below
     gen_degs = []
+    rows = {d: piece.rows for d, piece in link.pieces.items()}
     for d, piece in link.pieces.items():
         if piece.dim > ambient.piece(d).dim:
-            moved = [*ambient.piece(d).rows, *_multiples(ring, link.pieces, d)]
+            moved = [*ambient.piece(d).rows, *_multiples(ring, rows, d)]
             gen_degs.extend([d] * len(_uncovered(field, moved, piece.rows)))
     return LinkageReport(
         link=link,

@@ -31,8 +31,8 @@ from .rings import (
     MathDomainError,
     Polynomial,
     Subspace,
-    complete_span,
-    echelon,
+    _forward,
+    _product_step,
     kernel,
     matrix_rank,
 )
@@ -67,10 +67,11 @@ def minimal_generators(ideal: GradedIdeal):
             "truncation bound does not certify an Artinian quotient"
         )
     ring, pieces = ideal.ring, ideal.pieces
+    rows = {d: s.rows for d, s in pieces.items()}
     return [
         (d, Polynomial.from_vector(ring, d, row))
         for d in range(ideal.bound)
-        for row in _uncovered(ring.field, _multiples(ring, pieces, d), pieces[d].rows)
+        for row in _uncovered(ring.field, _multiples(ring, rows, d), pieces[d].rows)
     ]
 
 
@@ -79,9 +80,11 @@ def syzygies_at_degree(gens, d: int) -> Subspace:
 
     Coordinates are blocked generator by generator, each block running over
     the monomials of its degree in ring order; blocks with d < deg g_i are
-    empty.  Block i is multiplication by g_i in A, read as the quotient by
-    the zero ideal.  The result is a canonical subspace of the blocked
-    source.
+    empty.  Block i is multiplication by g_i: each term c * x^m of g_i puts
+    c in the row of x^m * u, read off ``rings._product_step``, for each
+    monomial u of the block.  Distinct terms reach distinct rows, so every
+    entry is one coefficient.  The result is a canonical subspace of the
+    blocked source.
     """
     gens = list(gens)
     if not gens:
@@ -94,9 +97,12 @@ def syzygies_at_degree(gens, d: int) -> Subspace:
     total = sum(w for _, w, _ in blocks)
     if total == 0:
         return Subspace.zero(field, 0)
-    A = QuotientRing(GradedIdeal(ring, d + 1, {}))
-    mats = [A.mult_matrix(g, e) for g, (_, w, e) in zip(gens, blocks) if w]
-    matrix = [[c for m in mats for c in m[t]] for t in range(ring.dim(d))]
+    matrix = [[field.zero] * total for _ in range(ring.dim(d))]
+    for g, (start, w, e) in zip(gens, blocks):
+        if w:  # an empty block would only fill _product_step's cache
+            for m, c in g.terms.items():
+                for j, t in enumerate(_product_step(ring.weights, m, e), start):
+                    matrix[t][j] = c
     return kernel(field, matrix, total)
 
 
@@ -104,27 +110,28 @@ def _minimal_syzygies(ideal: GradedIdeal, mingens, top: int) -> dict:
     """Minimal first syzygies of ``mingens`` in degrees <= ``top``, as
     degree -> rows in the blocked coordinates of ``syzygies_at_degree``.
 
-    Degree by degree, the multiples x_j Syz_{d - w_j} span part of Syz_d,
-    whose dimension is sum_i dim R_{d - d_i} - dim I_d.  Only when they fall
-    short is Syz_d solved for, and the minimal syzygies complete the
-    multiples to it.
+    Each degree is decided by one ``rings._forward`` basis, as
+    ``duality._uncovered`` decides generators.  The multiples x_j Syz_{d - w_j}
+    fill it up to dim Syz_d = sum_i dim R_{d - d_i} - dim I_d.  Only when
+    they fall short is Syz_d solved for, and its rows that extend the basis
+    are the minimal syzygies.  The basis rows, a basis of Syz_d in no
+    canonical form, seed the multiples one weight up.
     """
-    ring = ideal.ring
+    ring, field = ideal.ring, ideal.ring.field
     degs = [d for d, _ in mingens]
     polys = [g for _, g in mingens]
     syz = {}
     minimal = {}
     for d in range(min(degs), top + 1):
         dim_I = ideal.pieces[d].dim if d < ideal.bound else ring.dim(d)
-        ncols = sum(w for _, w, _ in _free_blocks(ring, degs, d))
-        if ncols == dim_I:
+        target = sum(w for _, w, _ in _free_blocks(ring, degs, d)) - dim_I
+        if target == 0:
             continue
-        covered = echelon(ring.field, _multiples(ring, syz, d, degs), ncols)
-        if covered.dim < ncols - dim_I:
-            full = syzygies_at_degree(polys, d)
-            minimal[d] = complete_span(covered, full.rows)
-            covered = full
-        syz[d] = covered
+        basis = []
+        _forward(field, basis, _multiples(ring, syz, d, degs), target)
+        if len(basis) < target:
+            minimal[d] = _forward(field, basis, syzygies_at_degree(polys, d).rows, target)
+        syz[d] = [row for _, row in basis]
     return minimal
 
 
@@ -246,21 +253,28 @@ def tnt_verdict(ideal: GradedIdeal) -> bool:
 def squared_ideal_dim(ideal: GradedIdeal, mingens, e: int) -> int:
     """dim (I/I^2)_e, with (I^2)_e the degree-e piece of the ideal generated
     by the pairwise generator products of degree at most e."""
-    ring = ideal.ring
-    if e < 0:
-        return 0
-    amb = ring.dim(e)
-    if amb == 0:
-        return 0
-    if e < ideal.bound:
-        dim_I = ideal.piece(e).dim
-    elif ideal.artinian_certified:
-        dim_I = amb
-    else:
-        raise BoundExceededError(f"degree {e} beyond truncation bound {ideal.bound}")
+    return _conormal_dims(ideal, mingens, [e])[e]
+
+
+def _conormal_dims(ideal: GradedIdeal, mingens, degrees) -> dict:
+    """e -> dim (I/I^2)_e over ``degrees``, from one ``from_generators`` pass
+    that builds I^2 up to the largest e out of the pairwise generator
+    products of degree at most that e."""
+    ring, top = ideal.ring, max(degrees)
     pairs = combinations_with_replacement(mingens, 2)
-    products = [gi * gj for (di, gi), (dj, gj) in pairs if di + dj <= e]
-    return dim_I - GradedIdeal.from_generators(ring, products, e + 1).piece(e).dim
+    products = [gi * gj for (di, gi), (dj, gj) in pairs if di + dj <= top]
+    square = GradedIdeal.from_generators(ring, products, top + 1)
+    dims = {}
+    for e in degrees:
+        if ring.dim(e) == 0:
+            dims[e] = 0
+        elif e < ideal.bound:
+            dims[e] = ideal.piece(e).dim - square.piece(e).dim
+        elif ideal.artinian_certified:
+            dims[e] = ring.dim(e) - square.piece(e).dim
+        else:
+            raise BoundExceededError(f"degree {e} beyond truncation bound {ideal.bound}")
+    return dims
 
 
 @dataclass(frozen=True)
@@ -291,14 +305,11 @@ def gorenstein_tangent_crosscheck(ideal: GradedIdeal, s: int | None = None) -> C
         raise MathDomainError(
             f"socle degree is {profile.socle_degree}, not {s}"
         )
-    rows = []
-    agree = True
-    for v in sorted(profile.dims):
-        other = squared_ideal_dim(ideal, mingens, s - v)
-        rows.append((v, profile.dims[v], other))
-        if other != profile.dims[v]:
-            agree = False
-    return CrosscheckReport(socle_degree=s, rows=tuple(rows), agree=agree)
+    conormal = _conormal_dims(ideal, mingens, [s - v for v in profile.dims])
+    rows = tuple((v, profile.dims[v], conormal[s - v]) for v in sorted(profile.dims))
+    return CrosscheckReport(
+        socle_degree=s, rows=rows, agree=all(t == c for _, t, c in rows)
+    )
 
 
 # ---------------------------------------------------------------------------

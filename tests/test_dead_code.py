@@ -73,3 +73,29 @@ def test_every_import_in_the_package_is_used():
             if name not in used and name not in _exported(tree)
         ]
     assert not unused, "imported but never used: " + ", ".join(sorted(unused))
+
+
+def test_every_stored_attribute_is_read():
+    """Every attribute the package stores as ``self.X = ...`` is read as an
+    attribute somewhere in src/, tests/ or bench/."""
+    stored = {}
+    for path, tree in _trees("src/apolar"):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in (t for target in targets for t in ast.walk(target)):
+                    if (
+                        isinstance(t, ast.Attribute)
+                        and isinstance(t.ctx, ast.Store)
+                        and isinstance(t.value, ast.Name)
+                        and t.value.id == "self"
+                    ):
+                        stored.setdefault(t.attr, f"{path.relative_to(ROOT)}:{t.lineno}")
+    read = {
+        node.attr
+        for _, tree in _trees("src", "tests", "bench")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = sorted(f"{where} {name}" for name, where in stored.items() if name not in read)
+    assert not unread, "stored but never read: " + ", ".join(unread)

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import apolar.rings as rings_module
 import apolar.tangents as tangents_module
 
 from apolar.constructions import derived_seed, random_dual_generators
@@ -23,6 +24,7 @@ from apolar.rings import (
     GradedRing,
     MathDomainError,
     Polynomial,
+    complete_span,
     echelon,
     kernel,
     matrix_rank,
@@ -348,7 +350,83 @@ def multiples_by_polynomials(ring, degs, rows, d, i):
     return out
 
 
+def reference_minimal_syzygies(ideal, mingens, top):
+    """Minimal syzygies as the echelon form of the multiples from below,
+    multiplied out as polynomials from each degree's canonical syzygy basis,
+    completed to ``syzygies_at_degree`` by ``rings.complete_span``."""
+    ring = ideal.ring
+    degs = [d for d, _ in mingens]
+    polys = [g for _, g in mingens]
+    syz, minimal = {}, {}
+    for d in range(min(degs), top + 1):
+        dim_I = ideal.pieces[d].dim if d < ideal.bound else ring.dim(d)
+        ncols = sum(ring.dim(d - dg) for dg in degs)
+        if ncols == dim_I:
+            continue
+        rows = []
+        for i, w in enumerate(ring.weights):
+            if d - w in syz:
+                rows += multiples_by_polynomials(ring, degs, syz[d - w].rows, d - w, i)
+        covered = echelon(ring.field, rows, ncols)
+        if covered.dim < ncols - dim_I:
+            full = syzygies_at_degree(polys, d)
+            minimal[d] = complete_span(covered, full.rows)
+            covered = full
+        syz[d] = covered
+    return minimal
+
+
+def syzygy_inputs():
+    """(ideal, minimal generators, s + max generator degree) for the seeded
+    ideals and two monomial complete intersections, one weighted."""
+    ideals = [*seeded_ideals(), monomial_ci(R2, 3, 4)]
+    ideals.append(monomial_ci(GradedRing(("x", "y"), (2, 3), F101), 3, 2))
+    for ideal in ideals:
+        mingens = minimal_generators(ideal)
+        yield ideal, mingens, QuotientRing(ideal).top_degree() + max(d for d, _ in mingens)
+
+
+def typed_rows(minsyz):
+    return {d: [[(type(x), x) for x in row] for row in rows] for d, rows in minsyz.items()}
+
+
 class TestMinimalSyzygies:
+    def test_matches_the_echelon_and_complete_span_reference(self):
+        """Row for row and in type, on GF(101), GF(32003), QQ and weighted
+        rings; some degrees are filled by the multiples, some are not."""
+        kinds, fields = set(), set()
+        for ideal, mingens, top in syzygy_inputs():
+            want = reference_minimal_syzygies(ideal, mingens, top)
+            assert typed_rows(_minimal_syzygies(ideal, mingens, top)) == typed_rows(want)
+            polys = [g for _, g in mingens]
+            kinds |= {d in want for d in range(top + 1) if syzygies_at_degree(polys, d).dim}
+            fields.add(ideal.ring.field)
+        assert kinds == {True, False}
+        assert fields == {F101, F32003, QQ}
+
+    def test_rref_runs_only_in_the_syzygy_kernels(self, monkeypatch):
+        """The multiples are decided by one forward basis per degree: every
+        rref of ``_minimal_syzygies`` is the kernel of a ``syzygies_at_degree``."""
+        inputs = list(syzygy_inputs())
+        calls = Counter()
+        rref, solve = rings_module.rref, tangents_module.syzygies_at_degree
+
+        def counting_rref(*args):
+            calls["rref"] += 1
+            return rref(*args)
+
+        def counting_solve(gens, d):
+            calls["syzygies_at_degree"] += 1
+            return solve(gens, d)
+
+        monkeypatch.setattr(rings_module, "rref", counting_rref)
+        monkeypatch.setattr(tangents_module, "syzygies_at_degree", counting_solve)
+        for ideal, mingens, top in inputs:
+            calls.clear()
+            _minimal_syzygies(ideal, mingens, top)
+            assert calls["syzygies_at_degree"] > 0
+            assert calls["rref"] == calls["syzygies_at_degree"]
+
     def check_spans(self, ideal):
         """Minimal syzygies plus the multiples from below span every
         syzygy space up to s + max deg g_i; none lie above the Koszul bound."""
@@ -402,6 +480,19 @@ class TestAllSyzygiesOracle:
 
 
 class TestSyzygyCalls:
+    def test_builds_no_quotient_ring(self, monkeypatch):
+        cases = [
+            ([g for _, g in mingens], d)
+            for _, mingens, top in syzygy_inputs()
+            for d in range(top + 1)
+        ]
+
+        def forbidden(*args):
+            raise AssertionError("syzygies_at_degree built a QuotientRing")
+
+        monkeypatch.setattr(QuotientRing, "__init__", forbidden)
+        assert sum(syzygies_at_degree(polys, d).dim for polys, d in cases) > 0
+
     def test_at_most_once_per_degree(self, monkeypatch):
         ring = GradedRing.standard(F32003, 3)
         D = generated_submodule(random_dual_generators(ring, {5: 1}, seed=1))
